@@ -12,32 +12,7 @@ Quickstart
 True
 """
 
-from .core import (
-    Model1D,
-    ModelA,
-    ModelB,
-    ModelResult,
-    SegmentScheme,
-    SweepResult,
-    ThermalTSVModel,
-    make_model,
-    solve_three_plane_closed_form,
-    sweep,
-)
-from .geometry import (
-    TSV,
-    DevicePlane,
-    Layer,
-    LayerKind,
-    PowerSpec,
-    Stack3D,
-    TSVCluster,
-    paper_stack,
-    paper_tsv,
-)
-from .materials import Material
-from .resistances import FittingCoefficients, compute_model_a_resistances
-from . import perf
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -71,3 +46,35 @@ __all__ = [
     # performance subsystem (executors, caches, bench harness)
     "perf",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".": ("perf",),
+        ".core": (
+            "Model1D",
+            "ModelA",
+            "ModelB",
+            "ModelResult",
+            "SegmentScheme",
+            "SweepResult",
+            "ThermalTSVModel",
+            "make_model",
+            "solve_three_plane_closed_form",
+            "sweep",
+        ),
+        ".geometry": (
+            "TSV",
+            "DevicePlane",
+            "Layer",
+            "LayerKind",
+            "PowerSpec",
+            "Stack3D",
+            "TSVCluster",
+            "paper_stack",
+            "paper_tsv",
+        ),
+        ".materials": ("Material",),
+        ".resistances": ("FittingCoefficients", "compute_model_a_resistances"),
+    },
+)

@@ -38,23 +38,21 @@ import json
 import signal
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import export_json, format_table
 from .errors import DrainError
-from .experiments import REGISTRY, case_study, render_markdown, run_all
-from .experiments.harness import ExperimentResult
-from .perf import RetryPolicy, get_executor
-from .scenarios import (
-    SCENARIOS,
-    RunStore,
-    ScenarioSpec,
-    run_batch,
-    run_fleet,
-    run_scenario,
-)
-from .scenarios.drain import DrainGuard, drain_exit_code
 from .scenarios.lease import DEFAULT_TTL_S
-from .scenarios.store import MANIFEST_NAME
+
+if TYPE_CHECKING:
+    from .perf.retry import RetryPolicy
+
+# Each command imports what it runs: a store hit, 'list', 'fsck' and
+# 'migrate' must not pay for importing the solver stack (numpy/scipy).
+
+#: the legacy experiment aliases, in :data:`repro.experiments.REGISTRY`
+#: order — static, because the parser needs them before anything heavy
+#: is imported
+_LEGACY_EXPERIMENTS = ("fig4", "fig5", "table1", "fig6", "fig7", "case_study")
 
 #: legacy experiment names that accept --jobs (they run parameter sweeps)
 _SWEEP_EXPERIMENTS = ("all", "fig4", "fig5", "fig6", "fig7", "table1")
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "directory", type=Path, help="the run-store directory to migrate"
     )
 
-    for exp_id in (*REGISTRY, "all"):
+    for exp_id in (*_LEGACY_EXPERIMENTS, "all"):
         legacy_p = sub.add_parser(
             exp_id, help=f"(legacy alias) regenerate {exp_id}"
         )
@@ -349,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_result(result) -> None:
+    from .analysis import format_table
+    from .experiments.harness import ExperimentResult
+
     if isinstance(result, ExperimentResult):
         print(result.title)
         print()
@@ -361,7 +362,9 @@ def _print_result(result) -> None:
             print()
             print(format_table(result.metadata["table_rows"]))
     else:  # the case study (live or store-loaded) has its own shape
-        print(getattr(result, "title", None) or case_study.TITLE)
+        from .experiments.case_study import TITLE
+
+        print(getattr(result, "title", None) or TITLE)
         print()
         print(format_table(result.rows(), float_format="{:.2f}"))
 
@@ -418,6 +421,8 @@ def _make_progress(args: argparse.Namespace):
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
     """The CLI's fault-tolerance policy (attempts = first try + retries)."""
+    from .perf.retry import RetryPolicy
+
     if args.max_retries < 0:
         raise SystemExit("error: --max-retries must be >= 0")
     return RetryPolicy(
@@ -448,6 +453,8 @@ def _drain_notice(exc: DrainError, store: Path | None) -> None:
 
 def _print_failures(failures) -> None:
     """The nonzero-exit quarantine table (stderr)."""
+    from .analysis import format_table
+
     print(
         f"\n{len(failures)} plan node(s) exhausted their retry budget and "
         "were quarantined:",
@@ -496,6 +503,11 @@ class _PlanProgress:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .analysis import export_json
+    from .perf.executors import get_executor
+    from .scenarios import SCENARIOS, RunStore, ScenarioSpec, run_scenario
+    from .scenarios.drain import DrainGuard, drain_exit_code
+
     if args.target in SCENARIOS:
         spec = SCENARIOS.get(args.target)
     else:
@@ -554,6 +566,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_list() -> int:
+    from .analysis import format_table
+    from .scenarios import SCENARIOS
+
     rows: list[list[object]] = [["id", "kind", "axis", "points", "physics", "title"]]
     for spec in SCENARIOS.specs():
         if spec.kind == "transient":
@@ -592,6 +607,12 @@ def _cmd_list() -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .analysis import export_json
+    from .perf.executors import get_executor
+    from .scenarios import RunStore, ScenarioSpec, run_batch
+    from .scenarios.drain import DrainGuard, drain_exit_code
+    from .scenarios.store import MANIFEST_NAME
+
     directory: Path = args.directory
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -668,6 +689,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from .scenarios import SCENARIOS, ScenarioSpec, run_fleet
+
     specs: list[ScenarioSpec] = []
     for target in args.targets:
         if target in SCENARIOS:
@@ -756,6 +779,8 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return 2
+    from .scenarios.store import RunStore
+
     moved = RunStore(directory).migrate()
     total = sum(moved.values())
     detail = ", ".join(f"{space}: {n}" for space, n in moved.items())
@@ -767,6 +792,9 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 # legacy experiment aliases
 # ---------------------------------------------------------------------------
 def _cmd_legacy(args: argparse.Namespace) -> int:
+    from .analysis import export_json
+    from .experiments import REGISTRY, render_markdown, run_all
+
     kwargs = {"fem_resolution": args.fem_resolution, "fast": args.fast}
     if args.experiment in _SWEEP_EXPERIMENTS:
         kwargs["jobs"] = args.jobs

@@ -31,14 +31,14 @@ time, not mid-sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import ValidationError
-from ..resistances import FittingCoefficients
-from .base import ThermalTSVModel
-from .model_1d import Model1D
-from .model_a import ModelA
-from .model_b import ModelB, SegmentScheme
+from ..resistances.fitting import FittingCoefficients
+from ..units import require_positive_int
+
+if TYPE_CHECKING:
+    from .base import ThermalTSVModel
 
 #: names a spec string may start with (after an optional ``model_`` prefix)
 MODEL_KINDS = ("a", "b", "1d", "fem", "fem3d")
@@ -102,7 +102,9 @@ def parse_model_spec(spec: str) -> ParsedModelSpec:
                     f"model B segment count must be >= 1, got {spec!r}"
                 )
             return ParsedModelSpec("b", counts[0])
-        return ParsedModelSpec("b", SegmentScheme(counts))
+        for count in counts:  # the checks SegmentScheme runs on construction
+            require_positive_int("plane segment count", count)
+        return ParsedModelSpec("b", counts)
     if name == "1d":
         if arg:
             raise ValidationError(f"model 1D takes no :argument, got {spec!r}")
@@ -136,8 +138,12 @@ def make_model(spec: str, **kwargs) -> ThermalTSVModel:
     Extra keyword arguments are forwarded to the model constructor (e.g.
     ``make_model("b:100", scheme="uniform")``).
     """
+    # the model modules import numpy/scipy; keep parse_model_spec (scenario
+    # validation) free of them by importing only when a model is built
     parsed = parse_model_spec(spec)
     if parsed.kind == "a":
+        from .model_a import ModelA
+
         if isinstance(parsed.arg, str):
             named = _A_NAMED_FITS[parsed.arg]
             if named is not None:
@@ -146,13 +152,17 @@ def make_model(spec: str, **kwargs) -> ThermalTSVModel:
             kwargs.setdefault("fit", parsed.arg)
         return ModelA(**kwargs)
     if parsed.kind == "b":
-        if parsed.arg is not None:
+        from .model_b import ModelB, SegmentScheme
+
+        if isinstance(parsed.arg, tuple):
+            kwargs.setdefault("segments", SegmentScheme(parsed.arg))
+        elif parsed.arg is not None:
             kwargs.setdefault("segments", parsed.arg)
         return ModelB(**kwargs)
     if parsed.kind == "1d":
+        from .model_1d import Model1D
+
         return Model1D(**kwargs)
-    # FEM references live one package over; import lazily to keep
-    # repro.core importable without pulling the solvers in.
     from ..fem import FEMReference
 
     solver = "axisym" if parsed.kind == "fem" else "cartesian"

@@ -1,16 +1,6 @@
 """Experiments: one module per paper table/figure plus a combined runner."""
 
-from . import (
-    case_study,
-    fig4_radius,
-    fig5_liner,
-    fig6_substrate,
-    fig7_cluster,
-    paper_facts,
-    table1_segments,
-)
-from .harness import ExperimentResult, run_sweep_experiment
-from .runner import REGISTRY, render_markdown, run_all
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExperimentResult",
@@ -26,3 +16,20 @@ __all__ = [
     "case_study",
     "paper_facts",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".": (
+            "case_study",
+            "fig4_radius",
+            "fig5_liner",
+            "fig6_substrate",
+            "fig7_cluster",
+            "paper_facts",
+            "table1_segments",
+        ),
+        ".harness": ("ExperimentResult", "run_sweep_experiment"),
+        ".runner": ("REGISTRY", "render_markdown", "run_all"),
+    },
+)

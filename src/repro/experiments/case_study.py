@@ -10,12 +10,12 @@ the recalibrated Model A tracks the reference (the paper's 1.9-minute
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..calibration import fit_coefficients
-from ..casestudy import CaseStudyReport, analyze_case_study, build_case_study
-from ..fem import FEMReference
-from ..resistances import FittingCoefficients
+from ..resistances.fitting import FittingCoefficients
+
+if TYPE_CHECKING:
+    from ..casestudy import CaseStudyReport
 
 EXPERIMENT_ID = "case_study"
 TITLE = "Section IV-E: 3-D DRAM-uP case study"
@@ -64,6 +64,43 @@ class CaseStudyExperiment:
         return payload
 
 
+@dataclass(frozen=True)
+class StoredCaseStudy:
+    """A case-study run reloaded from the store (payload-backed view).
+
+    Mirrors :class:`CaseStudyExperiment`'s reporting surface without
+    importing the solver stack, so a store hit stays cheap.
+    """
+
+    payload: dict[str, Any]
+
+    @property
+    def title(self) -> str:
+        return self.payload.get("title", TITLE)
+
+    def rises(self) -> dict[str, float]:
+        return dict(self.payload["rises"])
+
+    def rows(self) -> list[list[Any]]:
+        out: list[list[Any]] = [["model", "max ΔT [°C]", "solve time [ms]"]]
+        runtimes = self.payload.get("runtimes_ms", {})
+        for name, rise in self.payload["rises"].items():
+            out.append([name, rise, runtimes.get(name, float("nan"))])
+        recal = self.payload.get("recalibrated")
+        if recal is not None:
+            out.append(
+                [
+                    f"model_a (recal. k1={recal['k1']:.2f}, k2={recal['k2']:.2f})",
+                    recal["max_rise"],
+                    float("nan"),
+                ]
+            )
+        return out
+
+    def to_payload(self) -> dict[str, Any]:
+        return self.payload
+
+
 def run(
     *,
     fem_resolution: str | tuple[int, int] = "medium",
@@ -79,6 +116,11 @@ def run(
     a single operating point, so there is nothing to fan out.
     """
     del jobs
+    from ..calibration import fit_coefficients
+    from ..casestudy import analyze_case_study
+    from ..core.model_a import ModelA
+    from ..fem import FEMReference
+
     if fast:
         model_b_segments = 100
     report = analyze_case_study(
@@ -109,8 +151,6 @@ def run(
             fit.coefficients.k2,
             FittingCoefficients.paper_case_study().c_bond,
         )
-        from ..core.model_a import ModelA  # local import avoids a cycle
-
         recalibrated_rise = (
             ModelA(recalibrated)
             .solve(system.cell_stack, system.via, system.cell_power)

@@ -4,13 +4,17 @@ An experiment = a sweep + a reference model + error metrics + report
 rendering.  Each ``figN``/``table1``/``case_study`` module configures this
 harness with the paper's parameters; the benchmark suite then prints the
 same rows/series the paper reports.
+
+Reporting a stored result (:meth:`ExperimentResult.from_payload` and the
+text renderers) needs none of the models, calibration or caches, so
+those are imported only by the functions that solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -20,19 +24,13 @@ from ..analysis import (
     format_series_table,
     series_errors,
 )
-from ..calibration import fit_coefficients
-from ..core.base import ThermalTSVModel
-from ..core.model_a import ModelA
-from ..core.sweep import Configurator, SweepResult, sweep
 from ..errors import ExperimentError
-from ..perf import (
-    SweepExecutor,
-    calibration_fit_key,
-    calibration_key,
-    model_key,
-    solve_key,
-)
-from ..perf.memo import memoized_fit
+
+if TYPE_CHECKING:
+    from ..core.base import ThermalTSVModel
+    from ..core.model_a import ModelA
+    from ..core.sweep import Configurator, SweepResult
+    from ..perf.executors import SweepExecutor
 
 
 @dataclass(frozen=True)
@@ -174,6 +172,8 @@ def calibrated_model_from_fit(
     coefficients: Any, *, name: str = "model_a_cal"
 ) -> ModelA:
     """The ``model_a_cal`` instance a finished coefficient fit defines."""
+    from ..core.model_a import ModelA
+
     model = ModelA(coefficients)
     model.name = name
     return model
@@ -200,6 +200,15 @@ def calibrated_model_a(
     fit itself, whichever path (eager or planned) ran first.  The fit is
     deterministic, so a cache hit returns identical coefficients.
     """
+    from ..calibration import fit_coefficients
+    from ..perf.memo import (
+        calibration_fit_key,
+        calibration_key,
+        memoized_fit,
+        model_key,
+        solve_key,
+    )
+
     samples = [configure(v) for v in calibration_sample_values(values, n_samples)]
     fit_key = calibration_fit_key(
         calibration_key(
@@ -229,6 +238,8 @@ def run_sweep_experiment(
     ``executor`` selects the sweep execution strategy (serial by default;
     see :class:`repro.perf.ParallelExecutor` for ``--jobs N`` fan-out).
     """
+    from ..core.sweep import sweep
+
     all_models = list(models) + [reference]
     names = [m.name for m in all_models]
     if len(set(names)) != len(names):

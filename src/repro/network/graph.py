@@ -5,19 +5,27 @@ the compact models inspectable: export a circuit as a weighted graph, compute
 the effective (Thevenin) resistance between two nodes, and enumerate the
 dominant heat paths — the paper's "path 1 / path 2 / path 3" of Fig. 1(b)
 fall out of :func:`dominant_paths` on Model A's network.
+
+networkx is imported by the two helpers that build graphs, so solving a
+circuit never needs it installed or pays for loading it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import NetworkError
 from .circuit import ThermalCircuit
 from .elements import GROUND, NodeId
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def to_networkx(circuit: ThermalCircuit) -> nx.MultiGraph:
     """Export a circuit as a multigraph with ``resistance`` edge weights."""
+    import networkx as nx
+
     graph = nx.MultiGraph()
     graph.add_node(GROUND)
     graph.add_nodes_from(circuit.nodes)
@@ -55,6 +63,8 @@ def dominant_paths(
     (parallel edges between the same node pair are merged first).  Returns
     ``(path, series_resistance)`` tuples, best first.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_node(GROUND)
     graph.add_nodes_from(circuit.nodes)

@@ -21,45 +21,7 @@ The benchmark-regression harness lives in :mod:`repro.perf.bench` and is
 reachable as ``python -m repro bench``.
 """
 
-from .cache import (
-    FactorizationCache,
-    LRUCache,
-    assembly_cache,
-    configure,
-    content_key,
-    factor_cache,
-    matrix_fingerprint,
-    reset,
-    result_cache,
-)
-from .executors import (
-    MatrixGroupTask,
-    ParallelExecutor,
-    PointTask,
-    SerialExecutor,
-    StackedBatchTask,
-    SweepExecutor,
-    SweepTask,
-    get_executor,
-    solve_task,
-    solve_work,
-)
-from .memo import (
-    cached_solve,
-    calibration_fit_key,
-    calibration_key,
-    model_key,
-    solve_key,
-)
-from .retry import (
-    DEFAULT_RETRY,
-    NodeFailure,
-    RetryPolicy,
-    TaskFailure,
-    failure_from_exception,
-    node_deadline,
-)
-from .stats import counter, increment, stats
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_RETRY",
@@ -96,3 +58,48 @@ __all__ = [
     "solve_work",
     "stats",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cache": (
+            "FactorizationCache",
+            "LRUCache",
+            "assembly_cache",
+            "configure",
+            "content_key",
+            "factor_cache",
+            "matrix_fingerprint",
+            "reset",
+            "result_cache",
+        ),
+        ".executors": (
+            "MatrixGroupTask",
+            "ParallelExecutor",
+            "PointTask",
+            "SerialExecutor",
+            "StackedBatchTask",
+            "SweepExecutor",
+            "SweepTask",
+            "get_executor",
+            "solve_task",
+            "solve_work",
+        ),
+        ".memo": (
+            "cached_solve",
+            "calibration_fit_key",
+            "calibration_key",
+            "model_key",
+            "solve_key",
+        ),
+        ".retry": (
+            "DEFAULT_RETRY",
+            "NodeFailure",
+            "RetryPolicy",
+            "TaskFailure",
+            "failure_from_exception",
+            "node_deadline",
+        ),
+        ".stats": ("counter", "increment", "stats"),
+    },
+)

@@ -30,7 +30,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import stats as _stats
+from .stats import register_provider, reset_counters
 
 #: defaults, overridable via :func:`configure`
 DEFAULT_ASSEMBLY_CACHE_SIZE = 32
@@ -56,7 +56,7 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        _stats.register_provider(name, self.stats)
+        register_provider(name, self.stats)
 
     def get(self, key: Any, default: Any = None) -> Any:
         with self._lock:
@@ -238,4 +238,4 @@ def reset() -> None:
     assembly_cache.clear()
     result_cache.clear()
     factor_cache.clear()
-    _stats.reset_counters()
+    reset_counters()

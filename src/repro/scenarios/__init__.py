@@ -18,33 +18,7 @@ CLI: ``python -m repro run <id|file.json>``, ``python -m repro list``,
 ``python -m repro batch <dir>``.
 """
 
-from .physics import (
-    NonlinearExperiment,
-    NonlinearModel,
-    TransientExperiment,
-    TransientModel,
-    build_transient_circuit,
-    run_nonlinear_spec_direct,
-    run_transient_spec_direct,
-)
-from .fleet import FleetOutcome, WorkerReport, run_fleet
-from .fsck import FsckReport, scrub
-from .lease import LeaseManager
-from .plan import ExecutionPlan, ScenarioPlan, compile_plan
-from .registry import SCENARIOS, ScenarioRegistry
-from .runner import BatchRun, ScenarioRun, StoredCaseStudy, run_batch, run_scenario
-from .scheduler import ScheduleOutcome, execute_plan
-from .spec import (
-    AXIS_LABELS,
-    AXIS_PARAMETERS,
-    AxisSpec,
-    GeometryParams,
-    GeometryRule,
-    NonlinearParams,
-    ScenarioSpec,
-    TransientParams,
-)
-from .store import RunStore
+from .._lazy import lazy_exports
 
 # registering the builtin scenarios is an import side effect by design:
 # any importer of repro.scenarios sees the paper's six entries
@@ -86,3 +60,42 @@ __all__ = [
     "run_transient_spec_direct",
     "scrub",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".fleet": ("FleetOutcome", "WorkerReport", "run_fleet"),
+        ".fsck": ("FsckReport", "scrub"),
+        ".lease": ("LeaseManager",),
+        ".physics": (
+            "NonlinearExperiment",
+            "NonlinearModel",
+            "TransientExperiment",
+            "TransientModel",
+            "build_transient_circuit",
+            "run_nonlinear_spec_direct",
+            "run_transient_spec_direct",
+        ),
+        ".plan": ("ExecutionPlan", "ScenarioPlan", "compile_plan"),
+        ".registry": ("SCENARIOS", "ScenarioRegistry"),
+        ".runner": (
+            "BatchRun",
+            "ScenarioRun",
+            "StoredCaseStudy",
+            "run_batch",
+            "run_scenario",
+        ),
+        ".scheduler": ("ScheduleOutcome", "execute_plan"),
+        ".spec": (
+            "AXIS_LABELS",
+            "AXIS_PARAMETERS",
+            "AxisSpec",
+            "GeometryParams",
+            "GeometryRule",
+            "NonlinearParams",
+            "ScenarioSpec",
+            "TransientParams",
+        ),
+        ".store": ("RunStore",),
+    },
+)

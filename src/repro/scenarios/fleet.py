@@ -176,6 +176,19 @@ def read_reports(root: Path, workers: int) -> list[WorkerReport]:
     return reports
 
 
+def _preload_worker_modules() -> None:
+    """Import, in the parent, every module a worker solves with.
+
+    Package imports are lazy, so a fresh worker would otherwise import
+    the plan compiler, scheduler, models and solvers itself.  Workers are
+    forked, so loading them once here lets all N workers — and every
+    supervisor respawn — inherit them instead of each paying the import.
+    """
+    from .. import calibration, casestudy, fem  # noqa: F401
+    from ..core import model_1d, model_a, model_b  # noqa: F401
+    from . import plan, scheduler  # noqa: F401
+
+
 def _worker_main(
     rank: int,
     store_root: str,
@@ -329,6 +342,7 @@ def run_fleet(
         _report_path(root, rank).unlink(missing_ok=True)
 
     spec_dicts = [spec.to_dict() for spec in resolved]
+    _preload_worker_modules()
     ctx = multiprocessing.get_context()
 
     def spawn(rank: int):

@@ -246,7 +246,9 @@ def _scrub_manifest(
             report.findings.append(finding)
             if repair:
                 _write_json_atomic(
-                    manifest_path, {"version": MANIFEST_VERSION, "runs": {}}
+                    manifest_path,
+                    {"version": MANIFEST_VERSION, "runs": {}},
+                    sync_dir=True,
                 )
                 finding.repaired = True
                 manifest_reset = True
@@ -295,7 +297,9 @@ def _scrub_manifest(
         _unlink(path, finding, repair)
     if repair and dirty:
         _write_json_atomic(
-            manifest_path, {"version": MANIFEST_VERSION, "runs": runs}
+            manifest_path,
+            {"version": MANIFEST_VERSION, "runs": runs},
+            sync_dir=True,
         )
 
 

@@ -467,21 +467,6 @@ class NonlinearExperiment:
             ) from exc
 
 
-def result_from_store_payload(spec: ScenarioSpec, payload: dict[str, Any]) -> Any:
-    """Reconstruct a run-level store payload into the kind's result type."""
-    if spec.kind == "transient":
-        return TransientExperiment.from_payload(payload)
-    if spec.kind == "nonlinear":
-        return NonlinearExperiment.from_payload(payload)
-    if spec.kind == "case_study":
-        from .plan import StoredCaseStudy
-
-        return StoredCaseStudy(payload)
-    from ..experiments.harness import ExperimentResult
-
-    return ExperimentResult.from_payload(payload)
-
-
 # ---------------------------------------------------------------------------
 # direct (reference) execution — plain library calls, no plan machinery
 # ---------------------------------------------------------------------------

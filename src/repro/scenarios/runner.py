@@ -13,40 +13,41 @@ pluggable :class:`repro.perf.SweepExecutor` engine.  Per-scenario
 reassembled from the executed nodes, byte-identically to the historical
 eager path (kept here as :func:`_run_sweep_eager` and pinned by the
 equivalence tests).
+
+A store hit only reloads a payload, so this module imports the plan
+compiler, scheduler, physics and models on the miss path alone: serving
+a stored sweep or case study never loads scipy or the solver packages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from .._lazy import lazy_exports
+from ..experiments.case_study import StoredCaseStudy
 from ..core.factory import make_model
 from ..experiments.harness import (
     ExperimentResult,
     calibrated_model_a,
     run_sweep_experiment,
 )
-from ..experiments.table1_segments import rows_from_fig5
-from ..perf import DEFAULT_RETRY, NodeFailure, RetryPolicy, SweepExecutor
-from .physics import (
-    result_from_store_payload,
-    run_nonlinear_spec_direct,
-    run_transient_spec_direct,
-)
-from .plan import (
-    StoredCaseStudy,
-    _configurator,
-    _power_spec,
-    assemble_scenario,
-    compile_plan,
-    run_case_study_spec,
-)
-from .drain import DrainGuard
-from .lease import LeaseManager
+from ..perf.retry import DEFAULT_RETRY, NodeFailure, RetryPolicy
 from .registry import SCENARIOS
-from .scheduler import ProgressFn, execute_plan
 from .spec import ScenarioSpec
 from .store import RunStore
+
+if TYPE_CHECKING:
+    from ..perf.executors import SweepExecutor
+    from .drain import DrainGuard
+    from .lease import LeaseManager
+    from .scheduler import ProgressFn
+
+# the plan helpers the eager reference path builds on, reachable here
+# without importing the plan compiler until first use
+__getattr__, __dir__ = lazy_exports(
+    __name__, {".plan": ("_configurator", "_power_spec")}
+)
 
 __all__ = [
     "BatchRun",
@@ -100,6 +101,21 @@ class BatchRun:
     failures: tuple[NodeFailure, ...] = ()
 
 
+def result_from_store_payload(spec: ScenarioSpec, payload: dict[str, Any]) -> Any:
+    """Reconstruct a run-level store payload into the kind's result type."""
+    if spec.kind == "case_study":
+        return StoredCaseStudy(payload)
+    if spec.kind == "transient":
+        from .physics import TransientExperiment
+
+        return TransientExperiment.from_payload(payload)
+    if spec.kind == "nonlinear":
+        from .physics import NonlinearExperiment
+
+        return NonlinearExperiment.from_payload(payload)
+    return ExperimentResult.from_payload(payload)
+
+
 def _run_sweep_eager(
     spec: ScenarioSpec, *, executor: SweepExecutor | None, fast: bool, key: str
 ) -> ExperimentResult:
@@ -108,6 +124,9 @@ def _run_sweep_eager(
     Kept as the reference implementation: the equivalence tests assert the
     plan-compiled path produces byte-identical payloads to this.
     """
+    from ..experiments.table1_segments import rows_from_fig5
+    from .plan import _configurator
+
     axis = spec.axis
     configure = _configurator(spec)
     reference = make_model(spec.reference)
@@ -148,6 +167,9 @@ def _run_scenario_eager(
     calibrate: bool | None = None,
 ) -> ScenarioRun:
     """The pre-plan-compiler :func:`run_scenario` (reference for tests)."""
+    from .physics import run_nonlinear_spec_direct, run_transient_spec_direct
+    from .plan import run_case_study_spec
+
     if isinstance(spec, str):
         spec = SCENARIOS.get(spec)
     spec = spec.resolved(fast=fast, fem_resolution=fem_resolution, calibrate=calibrate)
@@ -243,6 +265,9 @@ def run_batch(
 
     stats: dict[str, int] = {"run_store_hits": run_store_hits}
     if to_plan:
+        from .plan import assemble_scenario, compile_plan
+        from .scheduler import execute_plan
+
         plan = compile_plan([spec for _, spec in to_plan], fast=fast)
 
         # assemble and store each scenario the moment its last node lands,

@@ -132,6 +132,7 @@ from ..perf.retry import (
     TaskFailure,
     failure_from_exception,
 )
+from ..experiments.case_study import StoredCaseStudy
 from ..resistances import FittingCoefficients
 from .physics import NonlinearModel
 from .plan import (
@@ -141,7 +142,6 @@ from .plan import (
     ExecutionPlan,
     NonlinearNode,
     SolveNode,
-    StoredCaseStudy,
     TransientNode,
     is_content_key,
     run_case_study_spec,

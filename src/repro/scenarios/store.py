@@ -20,11 +20,16 @@ A :class:`RunStore` is a directory holding three object spaces:
   of the same key clears the record, so ``--resume`` naturally
   re-attempts exactly the quarantined/missing points.
 
-All writes are atomic *and durable*: the payload is fsynced to the tmp
-file before the rename, so neither a killed process nor a machine crash
-leaves a half-written artifact behind the rename.  A corrupt or
-unreadable object is treated as a miss (and healed out of the manifest)
-rather than an error.
+All writes are atomic: the payload is fsynced to a tmp file before the
+rename, so neither a killed process nor a machine crash leaves a
+half-written artifact behind a name.  The system-of-record writes — run
+objects, ``manifest.json``, failure records and blame counts — are also
+durable: the parent directory is fsynced after the rename, so the new
+name itself survives a machine crash.  Point writes skip that directory
+fsync (one per solved point would dominate a large sweep's commit cost);
+a point whose rename is lost in a crash reads as a miss and re-solves
+deterministically to the same bytes.  A corrupt or unreadable object is
+treated as a miss (and healed out of the manifest) rather than an error.
 
 Every ``objects/``, ``points/``, ``failures/`` and ``blame/`` payload is
 written inside an **integrity envelope**: a one-line JSON header carrying
@@ -179,19 +184,31 @@ def shard_prefix(key: str) -> str:
     return key[:2] if len(key) >= 2 else (key + "__")[:2]
 
 
+def _fsync_dir(directory: Path) -> None:
+    """Flush ``directory``'s entries, making a rename into it durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _write_json_atomic(
     path: Path,
     payload: Any,
     fault_key: str | None = None,
     *,
     envelope: bool = False,
+    sync_dir: bool = False,
 ) -> None:
-    """Write JSON durably: serialise, fsync the tmp file, then rename.
+    """Write JSON atomically: serialise, fsync the tmp file, then rename.
 
     The fsync-before-rename matters: without it a machine crash shortly
     after the rename can surface the *new name with old (empty) contents*
     on some filesystems — exactly the truncated-artifact shape the
-    readers heal, but better never to write it.  ``fault_key`` routes the
+    readers heal, but better never to write it.  The rename itself is
+    only durable once the parent directory is fsynced too, which
+    ``sync_dir=True`` does (the system-of-record writes).  ``fault_key`` routes the
     write through the ``store-write`` fault-injection site (delay or
     payload corruption) when the :mod:`repro.faults` registry is armed;
     ``envelope=True`` wraps the payload in the integrity envelope
@@ -211,6 +228,8 @@ def _write_json_atomic(
         handle.flush()
         os.fsync(handle.fileno())
     tmp.replace(path)
+    if sync_dir:
+        _fsync_dir(path.parent)
 
 
 class RunStore:
@@ -337,7 +356,7 @@ class RunStore:
         return manifest
 
     def _write_manifest(self) -> None:
-        _write_json_atomic(self._manifest_path, self._manifest)
+        _write_json_atomic(self._manifest_path, self._manifest, sync_dir=True)
 
     # ------------------------------------------------------------------
     # content-addressed access: whole runs
@@ -372,7 +391,9 @@ class RunStore:
     ) -> Path:
         """Store ``payload`` under ``key`` and index it in the manifest."""
         path = self._write_path(self.objects, key)
-        _write_json_atomic(path, payload, fault_key=f"run:{key}", envelope=True)
+        _write_json_atomic(
+            path, payload, fault_key=f"run:{key}", envelope=True, sync_dir=True
+        )
         self._manifest["runs"][key] = {
             "scenario_id": spec.scenario_id,
             "path": str(path.relative_to(self.root)),
@@ -416,7 +437,10 @@ class RunStore:
 
     def put_point(self, key: str, payload: dict[str, Any]) -> Path | None:
         """Persist one plan node's payload (atomically; never raises on
-        unserialisable payload metadata — the point is just not resumable)."""
+        unserialisable payload metadata — the point is just not resumable).
+
+        Not durable against a machine crash: no directory fsync, so a lost
+        rename reads back as a miss and the node re-solves."""
         path = self._write_path(self.points, key)
         try:
             _write_json_atomic(
@@ -447,7 +471,7 @@ class RunStore:
     def put_failure(self, key: str, failure: NodeFailure) -> Path:
         """Record a quarantined node in the ``failures/`` space."""
         path = self._write_path(self.failures, key)
-        _write_json_atomic(path, failure.to_payload(), envelope=True)
+        _write_json_atomic(path, failure.to_payload(), envelope=True, sync_dir=True)
         self._has_failures = True
         return path
 
@@ -507,6 +531,7 @@ class RunStore:
             path,
             {"key": key, "count": count, "updated_unix": time.time()},
             envelope=True,
+            sync_dir=True,
         )
         return count
 
