@@ -23,6 +23,19 @@ echo "== physics-kind quick scenarios (transient + nonlinear)"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro run transient_spike --fast >/dev/null
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro run nonlinear_hotspot --fast >/dev/null
 
+echo "== all paper results as one plan (six payloads + EXPERIMENTS.md)"
+all_tmp=$(mktemp -d)
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro all --fast \
+    --fem-resolution coarse --no-calibrate --output-dir "$all_tmp" >/dev/null
+for f in EXPERIMENTS.md fig4.json fig5.json fig6.json fig7.json table1.json \
+    case_study.json; do
+    if [ ! -s "$all_tmp/$f" ]; then
+        echo "all: $f was not written" >&2
+        exit 1
+    fi
+done
+rm -rf "$all_tmp"
+
 echo "== fault-injection matrix (crash/error/delay/corrupt at rate 0.2)"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/fault_matrix.py
 

@@ -25,9 +25,10 @@ Scenario subcommands (the declarative path — :mod:`repro.scenarios`):
   sharded ``<space>/<xx>/<key>.json`` layout (reads understand both, so
   migrating is optional).
 
-Legacy aliases keep working: ``python -m repro fig4 …`` (also ``fig5``,
-``fig6``, ``fig7``, ``table1``, ``case_study``, ``all``) runs the paper
-experiments directly, and ``python -m repro bench`` delegates to the
+The paper's results keep their short names: ``python -m repro fig4 …``
+(also ``fig5``, ``fig6``, ``fig7``, ``table1``, ``case_study``) is exactly
+``run fig4 …``, and ``all`` runs the six of them as one merged plan and
+renders ``EXPERIMENTS.md``.  ``python -m repro bench`` delegates to the
 benchmark-regression harness.
 """
 
@@ -49,13 +50,10 @@ if TYPE_CHECKING:
 # Each command imports what it runs: a store hit, 'list', 'fsck' and
 # 'migrate' must not pay for importing the solver stack (numpy/scipy).
 
-#: the legacy experiment aliases, in :data:`repro.experiments.REGISTRY`
-#: order — static, because the parser needs them before anything heavy
-#: is imported
-_LEGACY_EXPERIMENTS = ("fig4", "fig5", "table1", "fig6", "fig7", "case_study")
-
-#: legacy experiment names that accept --jobs (they run parameter sweeps)
-_SWEEP_EXPERIMENTS = ("all", "fig4", "fig5", "fig6", "fig7", "table1")
+#: the paper's results, each an alias for ``run <id>`` and together the
+#: ``all`` command — static, because the parser needs them before the
+#: scenario registry is imported
+_LEGACY_EXPERIMENTS = ("fig4", "fig5", "fig6", "fig7", "table1", "case_study")
 
 
 def _positive_int(text: str) -> int:
@@ -65,12 +63,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, *, legacy: bool) -> None:
-    """The flag set shared by the scenario and legacy subcommands.
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flag set of every command that runs scenarios in-process.
 
-    Legacy commands keep their historical ``--fem-resolution`` default
-    (``medium``); scenario commands default to None so the spec's own
-    reference wins unless the user overrides it.
+    ``--fem-resolution`` defaults to None so the spec's own reference
+    (``fem:medium`` for the paper's results) wins unless overridden.
     """
     parser.add_argument(
         "--fast", action="store_true", help="reduced sweeps (CI-speed)"
@@ -85,10 +82,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, legacy: bool) -> None:
     )
     parser.add_argument(
         "--fem-resolution",
-        default="medium" if legacy else None,
+        default=None,
         choices=["coarse", "medium", "fine"],
-        help="mesh preset for the FEM reference"
-        + (" (default: medium)" if legacy else " (default: the spec's own)"),
+        help="mesh preset for the FEM reference (default: the spec's own)",
     )
     parser.add_argument(
         "--no-calibrate",
@@ -99,66 +95,65 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, legacy: bool) -> None:
         "--output-dir",
         type=Path,
         default=None,
-        help="also write JSON payloads here"
-        + (" (and EXPERIMENTS.md for 'all')" if legacy else " (payload + spec)"),
+        help="also write JSON payloads here (payload + spec; 'all' adds "
+        "EXPERIMENTS.md)",
     )
-    if not legacy:
-        parser.add_argument(
-            "--no-matrix-groups",
-            action="store_true",
-            help="disable matrix-batched dispatch (nodes sharing a system "
-            "matrix are otherwise solved as one group: factor once, one "
-            "RHS per point; results are identical either way)",
-        )
-        parser.add_argument(
-            "--no-stacked-batches",
-            action="store_true",
-            help="disable the cross-matrix stacked solve tier (ungrouped "
-            "nodes sharing a system structure are otherwise solved as one "
-            "batched dense call; results are identical either way)",
-        )
-        parser.add_argument(
-            "--store",
-            type=Path,
-            default=None,
-            metavar="DIR",
-            help="content-addressed run store: artifacts land here and "
-            "re-running an unchanged scenario is a store hit, not a solve",
-        )
-        parser.add_argument(
-            "--resume",
-            action="store_true",
-            help="reuse point-level artifacts (points/<key>.json) from an "
-            "interrupted earlier run instead of re-solving them (needs a "
-            "store)",
-        )
-        parser.add_argument(
-            "--progress",
-            choices=["bar", "json"],
-            default="bar",
-            help="execution-plan progress on stderr: 'bar' (default) is the "
-            "live one-line counter; 'json' emits one JSON event per "
-            "completed plan node (kind, key, cache/store provenance, "
-            "elapsed seconds)",
-        )
-        parser.add_argument(
-            "--max-retries",
-            type=int,
-            default=2,
-            metavar="N",
-            help="how many times a transiently-failed plan node is "
-            "re-dispatched before being quarantined (default 2; 0 "
-            "quarantines on first failure)",
-        )
-        parser.add_argument(
-            "--node-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-node wall-clock budget; a node exceeding it counts "
-            "as a transient failure and is retried (scaled by member "
-            "count for matrix groups; default: unbounded)",
-        )
+    parser.add_argument(
+        "--no-matrix-groups",
+        action="store_true",
+        help="disable matrix-batched dispatch (nodes sharing a system "
+        "matrix are otherwise solved as one group: factor once, one "
+        "RHS per point; results are identical either way)",
+    )
+    parser.add_argument(
+        "--no-stacked-batches",
+        action="store_true",
+        help="disable the cross-matrix stacked solve tier (ungrouped "
+        "nodes sharing a system structure are otherwise solved as one "
+        "batched dense call; results are identical either way)",
+    )
+    parser.add_argument(
+        "--store",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help="content-addressed run store: artifacts land here and "
+        "re-running an unchanged scenario is a store hit, not a solve",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="reuse point-level artifacts (points/<key>.json) from an "
+        "interrupted earlier run instead of re-solving them (needs a "
+        "store)",
+    )
+    parser.add_argument(
+        "--progress",
+        choices=["bar", "json"],
+        default="bar",
+        help="execution-plan progress on stderr: 'bar' (default) is the "
+        "live one-line counter; 'json' emits one JSON event per "
+        "completed plan node (kind, key, cache/store provenance, "
+        "elapsed seconds)",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="how many times a transiently-failed plan node is "
+        "re-dispatched before being quarantined (default 2; 0 "
+        "quarantines on first failure)",
+    )
+    parser.add_argument(
+        "--node-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-node wall-clock budget; a node exceeding it counts "
+        "as a transient failure and is retried (scaled by member "
+        "count for matrix groups; default: unbounded)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(
             "Run declarative scenarios ('run', 'list', 'batch'), regenerate "
-            "the DATE 2011 TTSV paper's tables and figures (legacy "
-            "fig4..case_study/all aliases), or run the benchmark-regression "
-            "harness ('bench')."
+            "the DATE 2011 TTSV paper's tables and figures (fig4..case_study "
+            "are aliases for 'run <id>'; 'all' runs them together), or run "
+            "the benchmark-regression harness ('bench')."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -181,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "target", help="a registered scenario id (see 'list') or a JSON spec file"
     )
-    _add_run_flags(run_p, legacy=False)
+    _add_run_flags(run_p)
 
     sub.add_parser(
         "list",
@@ -200,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument(
         "directory", type=Path, help="directory containing scenario *.json files"
     )
-    _add_run_flags(batch_p, legacy=False)
+    _add_run_flags(batch_p)
 
     fleet_p = sub.add_parser(
         "fleet",
@@ -337,12 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
         "directory", type=Path, help="the run-store directory to migrate"
     )
 
-    for exp_id in (*_LEGACY_EXPERIMENTS, "all"):
-        legacy_p = sub.add_parser(
-            exp_id, help=f"(legacy alias) regenerate {exp_id}"
-        )
-        _add_run_flags(legacy_p, legacy=True)
-        legacy_p.set_defaults(experiment=exp_id)
+    for exp_id in _LEGACY_EXPERIMENTS:
+        alias_p = sub.add_parser(exp_id, help=f"alias for 'run {exp_id}'")
+        _add_run_flags(alias_p)
+        alias_p.set_defaults(target=exp_id)
+    all_p = sub.add_parser(
+        "all",
+        help="run every paper result as one plan and render EXPERIMENTS.md",
+        description=(
+            "Run " + ", ".join(_LEGACY_EXPERIMENTS) + " as one merged, "
+            "deduplicated plan (Table I shares the Fig. 5 sweep)."
+        ),
+    )
+    _add_run_flags(all_p)
     return parser
 
 
@@ -502,33 +504,24 @@ class _PlanProgress:
             print(file=sys.stderr)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .analysis import export_json
+def _run_specs(args: argparse.Namespace, specs: list, store):
+    """Run ``specs`` as one merged plan under the CLI's run flags.
+
+    Returns the :class:`~repro.scenarios.BatchRun`, or the exit code when
+    a shutdown signal drained the plan.
+    """
     from .perf.executors import get_executor
-    from .scenarios import SCENARIOS, RunStore, ScenarioSpec, run_scenario
+    from .scenarios import run_batch
     from .scenarios.drain import DrainGuard, drain_exit_code
 
-    if args.target in SCENARIOS:
-        spec = SCENARIOS.get(args.target)
-    else:
-        path = Path(args.target)
-        if not path.exists():
-            print(
-                f"error: {args.target!r} is neither a registered scenario id "
-                f"nor an existing file; see 'python -m repro list'",
-                file=sys.stderr,
-            )
-            return 2
-        spec = ScenarioSpec.load(path)
-    store = RunStore(args.store) if args.store else None
     if args.resume and store is None:
         print("note: --resume needs a --store; ignored", file=sys.stderr)
     progress = _make_progress(args)
     guard = DrainGuard()
     try:
         with guard.installed():
-            run = run_scenario(
-                spec,
+            batch = run_batch(
+                specs,
                 executor=get_executor(args.jobs),
                 store=store,
                 resume=args.resume,
@@ -543,26 +536,84 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
     except DrainError as exc:
         progress.close()
-        _drain_notice(exc, args.store)
+        _drain_notice(exc, store.root if store is not None else None)
         return drain_exit_code(exc.signum)
     progress.close()
-    if run.failed:
-        print(f"[{run.spec.scenario_id}] FAILED (key {run.key})")
-        _print_failures(run.failures)
+    return batch
+
+
+def _write_run(run, output_dir: Path) -> None:
+    """``--output-dir``: the run's JSON payload plus its resolved spec."""
+    from .analysis import export_json
+
+    output_dir.mkdir(parents=True, exist_ok=True)
+    export_json(output_dir / f"{run.spec.scenario_id}.json", run.result.to_payload())
+    run.spec.dump(output_dir / f"{run.spec.scenario_id}.spec.json")
+
+
+def _report_runs(runs, failures) -> int:
+    """Print each run's banner and result; exit 3 when any node failed."""
+    for i, run in enumerate(runs):
+        if i:
+            print()
+        if run.failed:
+            print(f"[{run.spec.scenario_id}] FAILED (key {run.key})")
+            continue
+        source = "served from run store" if run.from_store else "solved"
+        print(f"[{run.spec.scenario_id}] {source} (key {run.key})")
+        print()
+        _print_result(run.result)
+    if failures:
+        _print_failures(failures)
         return 3
-    source = "served from run store" if run.from_store else "solved"
-    print(f"[{run.spec.scenario_id}] {source} (key {run.key})")
-    print()
-    _print_result(run.result)
-    if args.output_dir:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
-        export_json(
-            args.output_dir / f"{run.spec.scenario_id}.json",
-            run.result.to_payload(),
-        )
-        run.spec.dump(args.output_dir / f"{run.spec.scenario_id}.spec.json")
-        print(f"\npayload and spec written to {args.output_dir}")
     return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .scenarios import SCENARIOS, RunStore, ScenarioSpec
+
+    if args.target in SCENARIOS:
+        spec = SCENARIOS.get(args.target)
+    else:
+        path = Path(args.target)
+        if not path.exists():
+            print(
+                f"error: {args.target!r} is neither a registered scenario id "
+                f"nor an existing file; see 'python -m repro list'",
+                file=sys.stderr,
+            )
+            return 2
+        spec = ScenarioSpec.load(path)
+    store = RunStore(args.store) if args.store else None
+    batch = _run_specs(args, [spec], store)
+    if isinstance(batch, int):
+        return batch
+    run = batch.runs[0]
+    code = _report_runs([run], run.failures)
+    if args.output_dir and not code:
+        _write_run(run, args.output_dir)
+        print(f"\npayload and spec written to {args.output_dir}")
+    return code
+
+
+def _cmd_all(args: argparse.Namespace) -> int:
+    """Every paper result as one plan; ``--output-dir`` adds EXPERIMENTS.md."""
+    from .scenarios import RunStore
+
+    store = RunStore(args.store) if args.store else None
+    batch = _run_specs(args, list(_LEGACY_EXPERIMENTS), store)
+    if isinstance(batch, int):
+        return batch
+    code = _report_runs(batch.runs, batch.failures)
+    if args.output_dir and not code:
+        from .experiments import render_markdown
+
+        for run in batch.runs:
+            _write_run(run, args.output_dir)
+        results = {run.spec.scenario_id: run.result for run in batch.runs}
+        (args.output_dir / "EXPERIMENTS.md").write_text(render_markdown(results))
+        print(f"\nreports written to {args.output_dir}")
+    return code
 
 
 def _cmd_list() -> int:
@@ -607,10 +658,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .analysis import export_json
-    from .perf.executors import get_executor
-    from .scenarios import RunStore, ScenarioSpec, run_batch
-    from .scenarios.drain import DrainGuard, drain_exit_code
+    from .scenarios import RunStore, ScenarioSpec
     from .scenarios.store import MANIFEST_NAME
 
     directory: Path = args.directory
@@ -624,30 +672,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: no scenario *.json files in {directory}", file=sys.stderr)
         return 2
     store = RunStore(args.store if args.store else directory / "runs")
-    specs = [ScenarioSpec.load(path) for path in files]
-    progress = _make_progress(args)
-    guard = DrainGuard()
-    try:
-        with guard.installed():
-            batch = run_batch(
-                specs,
-                executor=get_executor(args.jobs),
-                store=store,
-                resume=args.resume,
-                fast=args.fast,
-                fem_resolution=args.fem_resolution,
-                calibrate=False if args.no_calibrate else None,
-                progress=progress,
-                group_matrices=not args.no_matrix_groups,
-                stack_batches=not args.no_stacked_batches,
-                retry=_retry_policy(args),
-                drain=guard,
-            )
-    except DrainError as exc:
-        progress.close()
-        _drain_notice(exc, store.root)
-        return drain_exit_code(exc.signum)
-    progress.close()
+    batch = _run_specs(args, [ScenarioSpec.load(path) for path in files], store)
+    if isinstance(batch, int):
+        return batch
     solved = hits = failed = 0
     for path, run in zip(files, batch.runs):
         if run.failed:
@@ -661,12 +688,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             tag = "solved"
         print(f"[{run.spec.scenario_id}] {tag:9s} {path.name} -> {run.key}")
         if args.output_dir and not run.failed:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            export_json(
-                args.output_dir / f"{run.spec.scenario_id}.json",
-                run.result.to_payload(),
-            )
-            run.spec.dump(args.output_dir / f"{run.spec.scenario_id}.spec.json")
+            _write_run(run, args.output_dir)
     stats = batch.stats
     if stats.get("nodes_total"):
         print(
@@ -788,51 +810,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# legacy experiment aliases
-# ---------------------------------------------------------------------------
-def _cmd_legacy(args: argparse.Namespace) -> int:
-    from .analysis import export_json
-    from .experiments import REGISTRY, render_markdown, run_all
-
-    kwargs = {"fem_resolution": args.fem_resolution, "fast": args.fast}
-    if args.experiment in _SWEEP_EXPERIMENTS:
-        kwargs["jobs"] = args.jobs
-    elif args.jobs != 1:
-        print(
-            f"note: {args.experiment} has no parameter sweep; --jobs ignored",
-            file=sys.stderr,
-        )
-    if args.experiment == "all":
-        results = run_all(**kwargs, calibrate=not args.no_calibrate)
-        for result in results.values():
-            print()
-            _print_result(result)
-        if args.output_dir:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / "EXPERIMENTS.md").write_text(render_markdown(results))
-            for exp_id, result in results.items():
-                export_json(
-                    args.output_dir / f"{exp_id}.json", result.to_payload()
-                )
-            print(f"\nreports written to {args.output_dir}")
-        return 0
-    run = REGISTRY[args.experiment]
-    if args.experiment in ("fig4", "fig5", "fig6", "fig7", "table1"):
-        kwargs["calibrate"] = not args.no_calibrate
-    if args.experiment == "case_study":
-        kwargs["recalibrate"] = not args.no_calibrate
-    result = run(**kwargs)
-    _print_result(result)
-    if args.output_dir:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
-        export_json(
-            args.output_dir / f"{args.experiment}.json", result.to_payload()
-        )
-        print(f"\npayload written to {args.output_dir}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # env-armed laggy-filesystem shim (chaos soak / NFS-semantics drills)
@@ -845,8 +822,10 @@ def main(argv: list[str] | None = None) -> int:
 
         return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command == "run":
+    if args.command == "run" or args.command in _LEGACY_EXPERIMENTS:
         return _cmd_run(args)
+    if args.command == "all":
+        return _cmd_all(args)
     if args.command == "list":
         return _cmd_list()
     if args.command == "batch":
@@ -855,9 +834,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_fleet(args)
     if args.command == "fsck":
         return _cmd_fsck(args)
-    if args.command == "migrate":
-        return _cmd_migrate(args)
-    return _cmd_legacy(args)
+    return _cmd_migrate(args)
 
 
 if __name__ == "__main__":

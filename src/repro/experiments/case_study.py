@@ -107,15 +107,8 @@ def run(
     fast: bool = False,
     recalibrate: bool = True,
     model_b_segments: int = 1000,
-    jobs: int = 1,
 ) -> CaseStudyExperiment:
-    """Run the case study; ``fast`` trims Model B to 100 segments.
-
-    ``jobs`` is accepted for interface symmetry with the sweep experiments
-    (``run_all`` forwards it everywhere) but unused: the case study solves
-    a single operating point, so there is nothing to fan out.
-    """
-    del jobs
+    """Run the case study; ``fast`` trims Model B to 100 segments."""
     from ..calibration import fit_coefficients
     from ..casestudy import analyze_case_study
     from ..core.model_a import ModelA

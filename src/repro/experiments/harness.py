@@ -1,9 +1,10 @@
 """Shared experiment harness.
 
 An experiment = a sweep + a reference model + error metrics + report
-rendering.  Each ``figN``/``table1``/``case_study`` module configures this
-harness with the paper's parameters; the benchmark suite then prints the
-same rows/series the paper reports.
+rendering.  The scenario layer drives this harness: the planned path
+reassembles results with :func:`assemble_experiment`, and the eager
+reference path (:func:`repro.scenarios.runner._run_sweep_eager`) runs
+:func:`run_sweep_experiment` with :func:`calibrated_model_a`.
 
 Reporting a stored result (:meth:`ExperimentResult.from_payload` and the
 text renderers) needs none of the models, calibration or caches, so

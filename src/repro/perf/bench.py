@@ -81,11 +81,16 @@ def _series_identical(a: Any, b: Any) -> bool:
 
 
 def bench_fig7_sweep(jobs: int, repeats: int) -> dict[str, Any]:
-    """The Fig. 7 cluster sweep: serial cold, parallel cold, cache-warm."""
-    from ..experiments import fig7_cluster
+    """The Fig. 7 cluster sweep: serial cold, parallel cold, cache-warm.
+
+    Times the eager reference path, whose sweep goes through
+    :meth:`SweepExecutor.run_tasks` (the planned path streams nodes).
+    """
+    from ..scenarios.runner import _run_scenario_eager
+    from .executors import get_executor
 
     def run(n_jobs: int = 1):
-        return fig7_cluster.run(fem_resolution="medium", fast=False, jobs=n_jobs)
+        return _run_scenario_eager("fig7", executor=get_executor(n_jobs)).result
 
     def cold(n_jobs: int = 1):
         perf_cache.reset()

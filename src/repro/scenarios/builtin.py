@@ -4,9 +4,10 @@ Figures 4–7, Table I and the case study are nothing but six
 :class:`~repro.scenarios.spec.ScenarioSpec` instances — the geometry and
 sweep values come straight from the captions (mirroring
 :mod:`repro.experiments.params`), and
-:func:`~repro.scenarios.runner.run_scenario` reproduces the legacy
-``repro.experiments.figN.run()`` results exactly (asserted by
-``tests/test_scenarios.py``).
+:func:`~repro.scenarios.runner.run_scenario` reproduces a sweep built by
+hand from those parameters exactly (asserted by ``tests/test_scenarios.py``).
+They are the only user-facing path to the paper's results:
+``python -m repro fig4`` is ``run fig4``.
 """
 
 from __future__ import annotations

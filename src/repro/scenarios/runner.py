@@ -132,7 +132,8 @@ def _run_sweep_eager(
     reference = make_model(spec.reference)
     models = [make_model(m) for m in spec.models]
     if spec.calibrate:
-        # same slot the legacy experiments used: right after the first model
+        # the calibrated variant goes right after the first model (model A
+        # in the paper specs), where the planned path puts it too
         models.insert(
             min(1, len(models)),
             calibrated_model_a(

@@ -7,7 +7,7 @@ import pytest
 from repro import perf
 from repro.__main__ import build_parser, main
 from repro.experiments.harness import ExperimentResult
-from repro.scenarios import RunStore, ScenarioSpec
+from repro.scenarios import SCENARIOS, RunStore, ScenarioSpec
 
 
 class TestParser:
@@ -21,7 +21,10 @@ class TestParser:
 
     def test_defaults(self):
         args = build_parser().parse_args(["fig4"])
-        assert args.fem_resolution == "medium"
+        spec = SCENARIOS.get(args.target).resolved(
+            fast=args.fast, fem_resolution=args.fem_resolution, calibrate=None
+        )
+        assert spec.reference == "fem:medium"
         assert not args.fast
 
     def test_flags(self):
@@ -80,6 +83,33 @@ class TestMain:
 
 
 FAST_FLAGS = ["--fast", "--fem-resolution", "coarse", "--no-calibrate"]
+
+
+def mask_times(out):
+    """CLI stdout with every ``time [ms]`` column cell masked."""
+    lines, in_times = [], False
+    for line in out.splitlines():
+        if "time [ms]" in line:
+            in_times = True
+        elif not line.strip():
+            in_times = False
+        elif in_times and set(line.strip()) - set("- "):
+            # the column's width follows its widest cell: compare tokens
+            line = " ".join(line.split()[:-1] + ["<ms>"])
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestAliases:
+    @pytest.mark.parametrize(
+        "exp_id", ["fig4", "fig5", "fig6", "fig7", "table1", "case_study"]
+    )
+    def test_alias_prints_what_run_prints(self, capsys, exp_id):
+        assert main([exp_id, *FAST_FLAGS]) == 0
+        alias = capsys.readouterr().out
+        assert main(["run", exp_id, *FAST_FLAGS]) == 0
+        assert mask_times(alias) == mask_times(capsys.readouterr().out)
+        assert alias.startswith(f"[{exp_id}] ")
 
 
 class TestRunSubcommand:

@@ -1,29 +1,40 @@
-"""Experiment harness and the paper experiments end-to-end (coarse/fast)."""
+"""The paper experiments end-to-end (coarse/fast) through their scenarios."""
+
+import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis import crossover_points, is_monotonic
-from repro.experiments import (
-    case_study,
-    fig4_radius,
-    fig5_liner,
-    fig6_substrate,
-    fig7_cluster,
-    render_markdown,
-    table1_segments,
-)
+from repro.experiments import case_study, render_markdown
 from repro.experiments.table1_segments import rows_from_fig5
+from repro.scenarios import run_batch, run_scenario
+
+
+def paper_result(scenario_id, *, fast):
+    return run_scenario(
+        scenario_id, fast=fast, fem_resolution="coarse", calibrate=False
+    ).result
 
 
 @pytest.fixture(scope="module")
-def fig5_result():
-    return fig5_liner.run(fem_resolution="coarse", fast=True, calibrate=False)
+def fig5_table1():
+    """Fig. 5 and Table I from one plan: Table I reuses Fig. 5's sweep."""
+    batch = run_batch(
+        ["fig5", "table1"], fast=True, fem_resolution="coarse", calibrate=False
+    )
+    return tuple(run.result for run in batch.runs)
+
+
+@pytest.fixture(scope="module")
+def fig5_result(fig5_table1):
+    return fig5_table1[0]
 
 
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig4_radius.run(fem_resolution="coarse", fast=True, calibrate=False)
+        return paper_result("fig4", fast=True)
 
     def test_series_present(self, result):
         assert {"model_a", "model_b(100)", "model_1d", "fem"} <= set(result.series)
@@ -74,21 +85,20 @@ class TestFig5Table1:
         ]
         assert times[3] > times[0]
 
-    def test_table1_rows_order(self, fig5_result):
-        result = table1_segments.run(fig5_result=fig5_result)
+    def test_table1_rows_order(self, fig5_table1):
+        fig5_result, result = fig5_table1
         rows = rows_from_fig5(fig5_result)
         assert [r[0] for r in rows[1:]] == [
             "model_b(1)", "model_b(20)", "model_b(100)", "model_b(500)",
             "model_a", "model_1d",
         ]
         assert result.metadata["table_rows"] == rows
-        assert "model" in table1_segments.table_text(result)
 
 
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig6_substrate.run(fem_resolution="coarse", fast=False, calibrate=False)
+        return paper_result("fig6", fast=False)
 
     def test_fem_non_monotonic(self, result):
         assert crossover_points(result.x_values, result.series["fem"])
@@ -104,7 +114,7 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig7_cluster.run(fem_resolution="coarse", fast=False, calibrate=False)
+        return paper_result("fig7", fast=False)
 
     def test_models_fall_with_n(self, result):
         for name in ("model_a", "model_b(100)", "fem"):
@@ -139,24 +149,26 @@ class TestCaseStudyExperiment:
 
 
 class TestRunAll:
-    def test_no_calibrate_and_jobs_forwarded(self):
-        from repro.experiments.runner import run_all
-
-        results = run_all(
-            fem_resolution="coarse", fast=True, verbose=False, calibrate=False
+    def test_no_calibrate_reaches_every_result(self, tmp_path, capsys):
+        code = main(
+            [
+                "all", "--fast", "--fem-resolution", "coarse", "--no-calibrate",
+                "--output-dir", str(tmp_path),
+            ]
         )
+        assert code == 0
+        assert "Table I" in (tmp_path / "EXPERIMENTS.md").read_text()
+        payloads = {
+            exp_id: json.loads((tmp_path / f"{exp_id}.json").read_text())
+            for exp_id in ("fig4", "fig5", "fig6", "fig7", "table1", "case_study")
+        }
         # --no-calibrate reaches every experiment (it used to be dropped)
         for exp_id in ("fig4", "fig5", "fig6", "fig7", "table1"):
-            assert "model_a_cal" not in results[exp_id].series, exp_id
-        assert results["case_study"].recalibrated is None
+            assert "model_a_cal" not in payloads[exp_id]["series"], exp_id
+        assert "recalibrated" not in payloads["case_study"]
+        assert "model_a_cal" not in capsys.readouterr().out
         # table1 is derived from the shared fig5 sweep
-        assert results["table1"].series == results["fig5"].series
-
-    def test_case_study_accepts_jobs(self):
-        exp = case_study.run(
-            fem_resolution="coarse", fast=True, recalibrate=False, jobs=4
-        )
-        assert exp.report.rises()["fem"] > 0
+        assert payloads["table1"]["series"] == payloads["fig5"]["series"]
 
 
 class TestRenderMarkdown:

@@ -83,22 +83,28 @@ class TestFleet:
     def test_worker_kill_loses_no_completed_points(self, single, tmp_path):
         spec, single_store, single_solves = single
         # worker 0 is armed to crash the moment it holds a lease; the
-        # survivors inherit clean environments and take over its claims
-        # once the (short) TTL expires
+        # survivors take over its claims once the (short) TTL expires.
+        # They sleep 50 ms after every claim they win, so the 12-node plan
+        # cannot be fully claimed before worker 0 starts claiming (its
+        # crash is certain); a lone peer's whole pass, 12 x 50 ms, still
+        # stays inside the 1 s TTL, so no healthy claim expires mid-pass
+        def armed(kind, **extra):
+            return {
+                faults.ENV_RATE: "1.0",
+                faults.ENV_SITES: "lease",
+                faults.ENV_KINDS: kind,
+                faults.ENV_SEED: "1",
+                **extra,
+            }
+
+        slow_claims = armed("delay", **{faults.ENV_DELAY_S: "0.05"})
         outcome = run_fleet(
             [spec],
             store=tmp_path / "fleet",
             workers=3,
             ttl_s=1.0,
             timeout_s=300.0,
-            extra_env={
-                0: {
-                    faults.ENV_RATE: "1.0",
-                    faults.ENV_SITES: "lease",
-                    faults.ENV_KINDS: "crash",
-                    faults.ENV_SEED: "1",
-                }
-            },
+            extra_env={0: armed("crash"), 1: slow_claims, 2: slow_claims},
         )
         assert outcome.complete
         assert outcome.exit_codes[0] == CRASH_EXIT_CODE

@@ -35,7 +35,6 @@ CONSTANTS = {
         "result_cache": "repro.perf.cache",
         "SweepTask": "repro.perf.executors",  # a Union alias
     },
-    "repro.experiments": {"REGISTRY": "repro.experiments.runner"},
     "repro.scenarios": {
         "AXIS_LABELS": "repro.scenarios.spec",
         "AXIS_PARAMETERS": "repro.scenarios.spec",
@@ -156,8 +155,8 @@ def test_perf_cache_import_keeps_the_stats_function():
     assert result == {"function": True, "has_caches": True}
 
 
-def test_cli_legacy_ids_match_the_experiment_registry():
+def test_cli_legacy_ids_are_registered_scenarios():
     import repro.__main__ as cli
-    from repro.experiments import REGISTRY
+    from repro.scenarios import SCENARIOS
 
-    assert cli._LEGACY_EXPERIMENTS == tuple(REGISTRY)
+    assert all(exp_id in SCENARIOS for exp_id in cli._LEGACY_EXPERIMENTS)

@@ -1,10 +1,13 @@
 """Sweep executors: parallel results must match serial bit-for-bit."""
 
+import dataclasses
+
 import pytest
 
 from repro import Model1D, ModelA, perf, paper_tsv, sweep
 from repro.errors import ValidationError
-from repro.experiments import fig5_liner, fig7_cluster
+from repro.scenarios import SCENARIOS
+from repro.scenarios.runner import _run_scenario_eager
 from repro.perf import (
     ParallelExecutor,
     PointTask,
@@ -21,6 +24,14 @@ def _cold_caches():
     perf.reset()
     yield
     perf.reset()
+
+
+def _eager(spec, executor=None):
+    """A coarse, calibration-free eager run (its sweep uses ``run_tasks``)."""
+    return _run_scenario_eager(
+        spec, executor=executor, fast=True, fem_resolution="coarse",
+        calibrate=False,
+    ).result
 
 
 def _exact_equal(a, b):
@@ -139,35 +150,28 @@ class TestParallelEqualsSerial:
 
     def test_fig5_sweep_equality(self):
         """Fig. 5 liner sweep: parallel run is byte-identical to serial."""
-        perf.reset()
-        serial = fig5_liner.run(
-            fem_resolution="coarse", fast=True, calibrate=False,
-            segment_counts=(20,),
+        spec = dataclasses.replace(
+            SCENARIOS.get("fig5"), models=("a:paper", "b:2,20,20", "1d")
         )
         perf.reset()
-        parallel = fig5_liner.run(
-            fem_resolution="coarse", fast=True, calibrate=False,
-            segment_counts=(20,), jobs=2,
-        )
+        serial = _eager(spec)
+        perf.reset()
+        parallel = _eager(spec, ParallelExecutor(2))
         _exact_equal(serial, parallel)
 
     def test_fig7_sweep_equality(self):
         """Fig. 7 cluster sweep: parallel run is byte-identical to serial."""
         perf.reset()
-        serial = fig7_cluster.run(
-            fem_resolution="coarse", fast=True, calibrate=False
-        )
+        serial = _eager("fig7")
         perf.reset()
-        parallel = fig7_cluster.run(
-            fem_resolution="coarse", fast=True, calibrate=False, jobs=3
-        )
+        parallel = _eager("fig7", ParallelExecutor(3))
         _exact_equal(serial, parallel)
 
     def test_warm_cache_rerun_identical(self):
         """A cache-warm rerun returns the same numbers as the cold run."""
         perf.reset()
-        cold = fig7_cluster.run(fem_resolution="coarse", fast=True, calibrate=False)
-        warm = fig7_cluster.run(fem_resolution="coarse", fast=True, calibrate=False)
+        cold = _eager("fig7")
+        warm = _eager("fig7")
         _exact_equal(cold, warm)
         assert perf.result_cache.stats()["hits"] > 0
 

@@ -4,10 +4,16 @@ import json
 
 import pytest
 
-from repro import perf
+from repro import Model1D, ModelA, ModelB, perf
 from repro.errors import ValidationError
-from repro.experiments import fig4_radius, fig7_cluster
-from repro.experiments.harness import ExperimentResult
+from repro.experiments import params
+from repro.experiments.harness import (
+    ExperimentResult,
+    calibrated_model_a,
+    run_sweep_experiment,
+)
+from repro.fem import FEMReference
+from repro.geometry import TSVCluster
 from repro.scenarios import (
     SCENARIOS,
     AxisSpec,
@@ -153,11 +159,60 @@ class TestRegistry:
             SCENARIOS.get("fig99")
 
 
+def hand_built_sweep(values, configure, fit, *, calibrate):
+    """A paper sweep assembled directly from :mod:`repro.experiments.params`.
+
+    Model A with the caption's coefficients, B(100), 1-D and a coarse FEM
+    reference, plus the recalibrated Model A right after Model A.
+    """
+    reference = FEMReference("coarse")
+    models = [ModelA(fit), ModelB(100), Model1D()]
+    if calibrate:
+        models.insert(1, calibrated_model_a(values, configure, reference))
+    return run_sweep_experiment(
+        experiment_id="hand_built",
+        title="hand-built",
+        x_label="x",
+        values=values,
+        configure=configure,
+        models=models,
+        reference=reference,
+    )
+
+
 class TestLegacyEquivalence:
-    """`run <id>` (registry path) must match the legacy module runs exactly."""
+    """The registry specs encode the paper's hand-built configuration.
+
+    Both sides solve here (cold caches each), so the comparison is exact
+    on any BLAS build rather than against frozen floats.
+    """
+
+    def test_axes_match_the_captions(self):
+        expected = {
+            "fig4": (params.FIG4_RADII_UM, params.FIG4_RADII_UM_FAST),
+            "fig5": (params.FIG5_LINERS_UM, params.FIG5_LINERS_UM_FAST),
+            "fig6": (params.FIG6_SUBSTRATES_UM, params.FIG6_SUBSTRATES_UM_FAST),
+            "fig7": (params.FIG7_COUNTS, params.FIG7_COUNTS[:3]),
+        }
+        for exp_id, (values, fast_values) in expected.items():
+            axis = SCENARIOS.get(exp_id).axis
+            assert list(axis.values) == values, exp_id
+            assert list(axis.fast_values) == fast_values, exp_id
+        assert SCENARIOS.get("fig5").metadata["segment_counts"] == (
+            params.TABLE1_SEGMENTS
+        )
 
     def test_fig4_matches_legacy(self):
-        legacy = fig4_radius.run(fem_resolution="coarse", fast=True, calibrate=True)
+        def configure(radius_um):
+            cfg = params.fig4_config(radius_um)
+            return cfg.stack, cfg.via, cfg.power
+
+        radii = params.FIG4_RADII_UM_FAST
+        perf.reset()
+        legacy = hand_built_sweep(
+            radii, configure, params.fig4_config(radii[0]).fit, calibrate=True
+        )
+        perf.reset()
         run = run_scenario("fig4", fast=True, fem_resolution="coarse")
         assert run.result.x_values == legacy.x_values
         assert run.result.series == legacy.series  # exact float equality
@@ -165,7 +220,16 @@ class TestLegacyEquivalence:
         assert run.result.reference_name == legacy.reference_name
 
     def test_fig7_matches_legacy_without_calibration(self):
-        legacy = fig7_cluster.run(fem_resolution="coarse", fast=True, calibrate=False)
+        cfg = params.fig7_config()
+
+        def configure(n):
+            return cfg.stack, TSVCluster(cfg.via, n), cfg.power
+
+        perf.reset()
+        legacy = hand_built_sweep(
+            params.FIG7_COUNTS[:3], configure, cfg.fit, calibrate=False
+        )
+        perf.reset()
         run = run_scenario("fig7", fast=True, fem_resolution="coarse", calibrate=False)
         assert run.result.series == legacy.series
         assert run.result.errors == legacy.errors
