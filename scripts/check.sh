@@ -19,6 +19,9 @@ fi
 echo "== tier-1 tests"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
+echo "== end-to-end benchmark harness tests (scheduler/executor trace seams)"
+PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -q perfbench/tests
+
 echo "== physics-kind quick scenarios (transient + nonlinear)"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro run transient_spike --fast >/dev/null
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro run nonlinear_hotspot --fast >/dev/null

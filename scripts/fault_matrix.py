@@ -27,8 +27,10 @@ or failing the scenario.
 The final cell kills a fleet worker: one worker of a 3-worker fleet is
 armed (via per-rank environment) to crash the moment it holds a lease
 claim.  The gate asserts the armed worker dies with the injected exit
-code, the survivors steal its expired claims, the shared store finishes
-byte-identical to the fault-free run, and no completed point is lost.
+code, the survivors steal its expired claim (``lease_steals >= 1``), the
+shared store finishes byte-identical to the fault-free run, and no
+completed point is lost.  The survivors are slowed at every claim, so
+the armed worker's first claim is always a node nobody has committed.
 
 Usage::
 
@@ -67,6 +69,17 @@ def normalized_point(payload: dict) -> dict:
     payload = dict(payload)
     payload.pop("solve_time", None)
     return payload
+
+
+def lease_faults(kind: str, **extra: str) -> dict[str, str]:
+    """Worker environment arming ``kind`` on every lease claim it wins."""
+    return {
+        faults.ENV_RATE: "1.0",
+        faults.ENV_SITES: "lease",
+        faults.ENV_KINDS: kind,
+        faults.ENV_SEED: "1",
+        **extra,
+    }
 
 
 def fsck_verdicts(store_dir: Path, *, damage_expected: bool) -> list[str]:
@@ -220,11 +233,17 @@ def main(argv: list[str] | None = None) -> int:
 
         # fleet worker-kill cell: worker 0 of a 3-worker fleet is armed to
         # crash (rate 1.0) the moment it holds a lease claim — os._exit,
-        # no cleanup, no report.  The survivors must steal its expired
-        # claims, finish the store byte-identically, and lose none of the
-        # points any worker completed.
+        # no cleanup, no report.  Workers 1 and 2 sleep 50 ms after every
+        # claim they win, so nothing is committed before worker 0 wins its
+        # first claim: it dies holding a node the survivors still need,
+        # and they must steal that expired claim (a lone survivor's whole
+        # claim pass, ~12 x 50 ms, stays inside the 1 s TTL, so no healthy
+        # claim expires meanwhile).  They must finish the store
+        # byte-identically and lose none of the points any worker
+        # completed.
         perf.reset()
         faults.reset()
+        slow_claims = lease_faults("delay", **{faults.ENV_DELAY_S: "0.05"})
         outcome = run_fleet(
             [SCENARIO],
             store=root / "fleet",
@@ -234,12 +253,9 @@ def main(argv: list[str] | None = None) -> int:
             retry=MATRIX_RETRY,
             timeout_s=600.0,
             extra_env={
-                0: {
-                    faults.ENV_RATE: "1.0",
-                    faults.ENV_SITES: "lease",
-                    faults.ENV_KINDS: "crash",
-                    faults.ENV_SEED: "1",
-                }
+                0: lease_faults("crash"),
+                1: slow_claims,
+                2: slow_claims,
             },
         )
         verdicts = []
@@ -276,8 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         missing = set(baseline_points) - set(fleet_store.point_keys())
         if missing:
             verdicts.append(f"{len(missing)} completed point(s) lost")
-        status = "FAIL: " + "; ".join(verdicts) if verdicts else "ok"
         steals = outcome.counters.get("lease_steals", 0)
+        if steals < 1:
+            verdicts.append("no survivor stole the dead worker's claim")
+        status = "FAIL: " + "; ".join(verdicts) if verdicts else "ok"
         print(
             f"[fault-matrix] fleet worker-kill (lease crash@1.0) "
             f"exits={list(outcome.exit_codes)} steals={steals:<3} {status}"

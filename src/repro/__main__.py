@@ -99,20 +99,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "EXPERIMENTS.md)",
     )
     parser.add_argument(
-        "--no-matrix-groups",
-        action="store_true",
-        help="disable matrix-batched dispatch (nodes sharing a system "
-        "matrix are otherwise solved as one group: factor once, one "
-        "RHS per point; results are identical either way)",
-    )
-    parser.add_argument(
-        "--no-stacked-batches",
-        action="store_true",
-        help="disable the cross-matrix stacked solve tier (ungrouped "
-        "nodes sharing a system structure are otherwise solved as one "
-        "batched dense call; results are identical either way)",
-    )
-    parser.add_argument(
         "--store",
         type=Path,
         default=None,
@@ -529,8 +515,6 @@ def _run_specs(args: argparse.Namespace, specs: list, store):
                 fem_resolution=args.fem_resolution,
                 calibrate=False if args.no_calibrate else None,
                 progress=progress,
-                group_matrices=not args.no_matrix_groups,
-                stack_batches=not args.no_stacked_batches,
                 retry=_retry_policy(args),
                 drain=guard,
             )

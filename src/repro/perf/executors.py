@@ -32,14 +32,16 @@ per-point solves, so serial, parallel, grouped and ungrouped execution
 all produce numerically identical results regardless of how tasks land
 on workers.
 
-Fault tolerance: :meth:`SweepExecutor.submit_stream_safe` is the
-capture-mode stream — worker exceptions come back as picklable
-:class:`~repro.perf.retry.TaskFailure` results instead of unwinding the
-iterator, per-task wall-clock deadlines are enforced worker-side, and
-:class:`ParallelExecutor` survives a broken pool by rebuilding it and
-resubmitting only unacknowledged tasks (degrading to in-parent execution
-after repeated pool deaths).  The plain :meth:`~SweepExecutor.submit_stream`
-keeps its historical raise-on-failure contract.
+Two entry points, both solving through :func:`solve_work`:
+:meth:`SweepExecutor.run_tasks`, the eager batch interface of the
+reference sweep (results in task order; a worker exception raises), and
+:meth:`SweepExecutor.submit_stream_safe`, the capture-mode stream the
+execution-plan scheduler consumes — worker exceptions come back as
+picklable :class:`~repro.perf.retry.TaskFailure` results instead of
+unwinding the iterator, per-task wall-clock deadlines are enforced
+worker-side, and :class:`ParallelExecutor` survives a broken pool by
+rebuilding it and resubmitting only unacknowledged tasks (degrading to
+in-parent execution after repeated pool deaths).
 """
 
 from __future__ import annotations
@@ -168,9 +170,8 @@ def solve_work(task: SweepTask) -> Any:
     return solve_task(task)
 
 
-def solve_task_chunk(tasks: list[SweepTask]) -> list[Any]:
-    """Solve a chunk of tasks in one dispatch message (worker side)."""
-    return [solve_work(t) for t in tasks]
+#: the member tuple of each batched task shape (one solve per item)
+_BATCH_FIELD = {MatrixGroupTask: "powers", StackedBatchTask: "members"}
 
 
 def solve_work_safe(task: SweepTask, timeout_s: float | None = None) -> Any:
@@ -183,10 +184,9 @@ def solve_work_safe(task: SweepTask, timeout_s: float | None = None) -> Any:
     raise: quarantining a bad spec would hide the diagnostic.
     """
     budget = timeout_s
-    if budget and isinstance(task, MatrixGroupTask):
-        budget = budget * len(task.powers)
-    elif budget and isinstance(task, StackedBatchTask):
-        budget = budget * len(task.members)
+    field = _BATCH_FIELD.get(type(task))
+    if budget and field:
+        budget = budget * len(getattr(task, field))
     try:
         with node_deadline(budget):
             return solve_work(task)
@@ -210,50 +210,17 @@ class SweepExecutor(abc.ABC):
     def run_tasks(self, tasks: list[SweepTask]) -> list[Any]:
         """Solve every task, returning one result per task, in order."""
 
-    def submit_stream(
-        self, tasks: Iterable[SweepTask]
-    ) -> Iterator[tuple[SweepTask, Any]]:
-        """Yield ``(task, results)`` pairs as tasks complete.
-
-        Completion order is unspecified — the execution-plan scheduler
-        consumes this to react to each solved point (or matrix group) as
-        soon as it lands (progress callbacks, point-store writes,
-        unlocking dependents).  The default implementation delegates to
-        :meth:`run_tasks`, so any executor that only implements the batch
-        interface still streams (in task order); :class:`ParallelExecutor`
-        overrides it with true as-completed delivery.
-        """
-        tasks = list(tasks)
-        yield from zip(tasks, self.run_tasks(tasks))
-
+    @abc.abstractmethod
     def submit_stream_safe(
         self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
     ) -> Iterator[tuple[SweepTask, Any]]:
-        """Capture-mode stream: failures arrive as :class:`TaskFailure`.
+        """Yield ``(task, result)`` pairs as tasks complete, in any order.
 
-        Same contract as :meth:`submit_stream`, except a failed task
-        yields ``(task, TaskFailure)`` instead of raising, and
-        ``timeout_s`` bounds each task's solve wall-clock.  The default
-        implementation streams through :meth:`submit_stream` and — if the
-        underlying stream dies mid-iteration — finishes every
-        unacknowledged task in-parent, one at a time, so a single bad
-        task can only fail itself.  Subclasses with a native capture path
-        (:class:`SerialExecutor`, :class:`ParallelExecutor`) override.
+        Capture mode: a failed task yields ``(task, TaskFailure)`` instead
+        of raising, and ``timeout_s`` bounds each task's solve wall-clock.
+        Configuration mistakes (:data:`~repro.perf.retry.PROPAGATE_TYPES`)
+        still raise.
         """
-        tasks = list(tasks)
-        remaining = {id(t): t for t in tasks}
-        try:
-            for task, result in self.submit_stream(tasks):
-                remaining.pop(id(task), None)
-                yield task, result
-        except PROPAGATE_TYPES:
-            raise
-        except Exception:
-            # blame is ambiguous mid-stream — the failing task is still
-            # unacknowledged, so re-running the remainder individually
-            # captures its failure and completes the innocents
-            for task in remaining.values():
-                yield task, solve_work_safe(task, timeout_s)
 
 
 class SerialExecutor(SweepExecutor):
@@ -261,12 +228,6 @@ class SerialExecutor(SweepExecutor):
 
     def run_tasks(self, tasks: list[SweepTask]) -> list[Any]:
         return [solve_work(t) for t in tasks]
-
-    def submit_stream(
-        self, tasks: Iterable[SweepTask]
-    ) -> Iterator[tuple[SweepTask, Any]]:
-        for task in tasks:
-            yield task, solve_work(task)
 
     def submit_stream_safe(
         self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
@@ -292,10 +253,10 @@ class ParallelExecutor(SweepExecutor):
         How many broken pools :meth:`submit_stream_safe` rebuilds before
         degrading to in-parent execution of whatever is left.
 
-    Worker exceptions (bad geometry, singular systems) propagate to the
-    caller exactly as in serial mode.  A broken pool or unpicklable work
-    degrades to the serial path with a warning instead of failing the
-    sweep.
+    Under :meth:`run_tasks`, worker exceptions (bad geometry, singular
+    systems) propagate to the caller exactly as in serial mode, and a
+    broken pool or unpicklable work degrades to the serial path with a
+    warning instead of failing the sweep.
     """
 
     def __init__(
@@ -355,78 +316,28 @@ class ParallelExecutor(SweepExecutor):
             return tasks
         expanded: list[SweepTask] = []
         for task in tasks:
-            if isinstance(task, MatrixGroupTask) and len(task.powers) > 1:
-                n_sub = min(per_task, len(task.powers))
-                size = math.ceil(len(task.powers) / n_sub)
-                for start in range(0, len(task.powers), size):
-                    expanded.append(
-                        replace(
-                            task,
-                            powers=task.powers[start : start + size],
-                            offset=task.offset + start,
-                        )
-                    )
+            field = _BATCH_FIELD.get(type(task))
+            items = getattr(task, field) if field else ()
+            if len(items) <= 1:
+                expanded.append(task)
                 continue
-            if isinstance(task, StackedBatchTask) and len(task.members) > 1:
-                n_sub = min(per_task, len(task.members))
-                size = math.ceil(len(task.members) / n_sub)
-                for start in range(0, len(task.members), size):
-                    expanded.append(
-                        replace(
-                            task,
-                            members=task.members[start : start + size],
-                            offset=task.offset + start,
-                        )
+            size = math.ceil(len(items) / min(per_task, len(items)))
+            for start in range(0, len(items), size):
+                expanded.append(
+                    replace(
+                        task,
+                        **{field: items[start : start + size]},
+                        offset=task.offset + start,
                     )
-                continue
-            expanded.append(task)
+                )
         return expanded
-
-    def submit_stream(
-        self, tasks: Iterable[SweepTask]
-    ) -> Iterator[tuple[SweepTask, Any]]:
-        tasks = list(tasks)
-        if self.jobs > 1:
-            tasks = self._split_groups(tasks)
-        if self.jobs == 1 or len(tasks) <= 1:
-            yield from SerialExecutor().submit_stream(tasks)
-            return
-        workers = min(self.jobs, len(tasks))
-        # same chunked dispatch as run_tasks: one future per chunk, so the
-        # streaming path amortises pickling overhead identically
-        chunk = self.chunksize or max(1, math.ceil(len(tasks) / (workers * 2)))
-        chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
-        done: set[int] = set()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(solve_task_chunk, c): i
-                    for i, c in enumerate(chunks)
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    # worker exceptions (bad geometry, singular systems)
-                    # propagate exactly as in serial mode
-                    results = future.result()
-                    done.add(index)
-                    yield from zip(chunks[index], results)
-        except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-            warnings.warn(
-                f"parallel sweep degraded to serial execution: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for i, c in enumerate(chunks):
-                if i not in done:
-                    for task in c:
-                        yield task, solve_work(task)
 
     def submit_stream_safe(
         self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
     ) -> Iterator[tuple[SweepTask, Any]]:
         """Capture-mode stream that survives worker death.
 
-        Tasks dispatch in the same chunks as :meth:`submit_stream`, but a
+        Tasks dispatch in the same chunks as :meth:`run_tasks`, but a
         broken pool (a worker ``os._exit``/OOM-kill takes every pending
         future down with it) no longer unwinds the stream: results that
         already landed are kept, the pool is rebuilt, and only the

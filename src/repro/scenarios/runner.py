@@ -205,7 +205,7 @@ def run_batch(
     progress: ProgressFn | None = None,
     group_matrices: bool = True,
     stack_batches: bool = True,
-    retry: RetryPolicy | None = DEFAULT_RETRY,
+    retry: RetryPolicy = DEFAULT_RETRY,
     claims: LeaseManager | None = None,
     poll_s: float = 0.05,
     drain: DrainGuard | None = None,
@@ -219,17 +219,11 @@ def run_batch(
     once; with a ``store`` every solved node lands in the point-level
     object space as it completes, and ``resume=True`` reads those points
     back so an interrupted batch continues where it stopped.
-    ``group_matrices`` (default on) lets the scheduler dispatch nodes
-    that share a system matrix — power sweeps, shared geometries — as
-    matrix groups: one factorization, one RHS per point, bit-identical
-    results.  ``stack_batches`` (default on) additionally stacks nodes
-    with structurally congruent but *different* matrices — geometry
-    sweeps over the small network models — into single batched dense
-    solves, also bit-identical.  ``retry`` is the fault-tolerance policy (see
-    :func:`~repro.scenarios.scheduler.execute_plan`): failures retry,
-    then quarantine — a scenario whose nodes exhausted their budget comes
-    back as a *failed* :class:`ScenarioRun` (``result=None`` plus the
-    ledger records) while every other scenario completes normally.
+    ``group_matrices``, ``stack_batches`` and ``retry`` pass through to
+    :func:`~repro.scenarios.scheduler.execute_plan`; a scenario whose
+    nodes exhausted their retry budget comes back as a *failed*
+    :class:`ScenarioRun` (``result=None`` plus the ledger records) while
+    every other scenario completes normally.
     ``claims`` makes this invocation one cooperating member of a fleet of
     workers sharing ``store`` (see :mod:`repro.scenarios.fleet`): nodes
     are solved under lease, peer results are read back from the point
@@ -359,7 +353,7 @@ def run_scenario(
     progress: ProgressFn | None = None,
     group_matrices: bool = True,
     stack_batches: bool = True,
-    retry: RetryPolicy | None = DEFAULT_RETRY,
+    retry: RetryPolicy = DEFAULT_RETRY,
     drain: DrainGuard | None = None,
 ) -> ScenarioRun:
     """Run one scenario (a spec, or a registered scenario id).

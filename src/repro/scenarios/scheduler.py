@@ -1,77 +1,55 @@
 """Topological execution of compiled plans on the sweep executors.
 
 :func:`execute_plan` walks the merged node graph a
-:func:`~repro.scenarios.plan.compile_plan` call produced:
+:func:`~repro.scenarios.plan.compile_plan` call produced.  The walk runs
+in waves; every wave of ready dispatch nodes passes through the same
+phases, one method each on the private scheduler object:
 
-* ready :class:`~repro.scenarios.plan.SolveNode`\\ s are first resolved
-  against the global result cache, then (``resume=True``) against the
+* **resolve** — each ready node is looked up in the global result
+  cache, then (``resume=True``) in the
   :class:`~repro.scenarios.store.RunStore`'s point-level object space;
-* the remaining ready nodes are regrouped for dispatch.  Nodes sharing a
-  non-None ``assembly_key`` — the same system matrix, different
-  right-hand sides (power sweeps, calibration samples, repeated
-  geometries across scenarios) — become one
-  :class:`~repro.perf.MatrixGroupTask` solved through the model's
-  ``solve_batch``: voxelise/assemble/factorise once, back-substitute per
-  member, with the shared payload shipped once under parallel dispatch.
-  Of what remains, solve nodes sharing a non-None ``batch_class_key`` —
-  structurally congruent systems with *different* matrices (geometry
-  sweeps over the small network models) — become one
-  :class:`~repro.perf.StackedBatchTask` solved via
-  :func:`repro.core.base.solve_stacked`: every member's dense system is
-  assembled and all of them go through one batched ``(m, n, n)`` LAPACK
-  call instead of m Python-level solver round-trips.  Everything else
-  falls back to per-point
-  :class:`~repro.perf.PointTask`\\ s (one dispatch per geometry, not per
-  model — the same batching the eager sweep used).  All shapes stream
-  over the executor's :meth:`~repro.perf.SweepExecutor.submit_stream`
-  as-completed interface; ``group_matrices=False`` /
-  ``stack_batches=False`` disable the regroupings (the paths are
-  bit-identical — asserted by tests and the ``multi_rhs_identical`` /
-  ``stacked_identical`` bench checks);
-* the physics kinds flow through the same machinery:
-  :class:`~repro.scenarios.plan.TransientNode`\\ s dispatch like solve
-  nodes (their adapter's ``solve``/``solve_batch`` integrate the
-  backward-Euler trajectory; same-network trajectories share an
-  ``assembly_key`` and factorise once per group), and
-  :class:`~repro.scenarios.plan.NonlinearNode`\\ s dispatch once their
-  linear baseline — an ordinary, deduplicatable solve node — lands,
-  seeding the k(T) fixed-point chain with its result;
-* :class:`~repro.scenarios.plan.CalibrationNode`\\ s run in the parent as
-  soon as their reference solves land — mid-stream, between completions —
-  and their dependent calibrated solve nodes dispatch in the next
-  executor wave.  Finished fits are memoized in the result cache keyed on
-  (reference config, sample solve keys) via
-  :func:`repro.perf.calibration_fit_key`, so repeated in-process batches
-  skip the least-squares fit too (counters
-  ``calibration_fit_hits`` / ``calibration_fit_misses``);
-* every completed node is written into the store's point space
-  (``points/<key>.json``) so a killed batch resumes from its solved
-  points;
-* failures are *results*, not scheduler-unwinding exceptions: tasks
-  stream over the executor's capture-mode
-  :meth:`~repro.perf.SweepExecutor.submit_stream_safe`, a failed
-  multi-node task (a matrix group, a multi-model point bucket) degrades
-  to per-member solo dispatch so one bad RHS cannot sink its group, solo
-  failures retry under the :class:`~repro.perf.RetryPolicy` (exponential
-  backoff with deterministic jitter; each attempt is an independent
-  fault-injection draw), and whatever exhausts its budget is
-  *quarantined*: recorded as a :class:`~repro.perf.NodeFailure` in
-  ``ScheduleOutcome.failures`` (and the store's ``failures/`` space)
-  while the rest of the plan completes.  Nodes depending on a
-  quarantined node cascade into the ledger instead of deadlocking the
-  walk.  ``retry=None`` restores the historical raise-on-failure path;
-* with a :class:`~repro.scenarios.lease.LeaseManager` (``claims=...``)
-  the scheduler runs as one member of a cooperating *fleet*
-  (:mod:`repro.scenarios.fleet`): content-keyed dispatch nodes are
-  claimed unit-at-a-time before solving (matrix groups and stacked
-  batches claim whole, so the batch tiers survive distribution), nodes
-  a peer holds are deferred and their results read back from the point
-  space, failures a peer quarantines during the run are adopted from
-  the ledger (counter ``plan_failures_adopted``), a dead peer's expired
-  claims are stolen, and every commit is fenced —
-  ``put_point``-before-release, with a
+* **group** — the rest become *dispatch units*.  Nodes the fleet-wide
+  blame ledger marks as poison are forced solo or quarantined outright.
+  Nodes sharing an ``assembly_key`` (the same system matrix, different
+  right-hand sides) form a matrix group, solved as one
+  :class:`~repro.perf.MatrixGroupTask`: factorise once, back-substitute
+  per member.  Of what remains, solve nodes sharing a
+  ``batch_class_key`` (congruent systems, *different* matrices) form a
+  stacked batch, solved as one :class:`~repro.perf.StackedBatchTask`:
+  one batched ``(m, n, n)`` LAPACK call.  Everything else falls into
+  per-point buckets, one :class:`~repro.perf.PointTask` per geometry.
+  ``group_matrices=False`` / ``stack_batches=False`` disable the first
+  two tiers; the paths are bit-identical (asserted by tests and the
+  ``multi_rhs_identical`` / ``stacked_identical`` bench checks);
+* **claim** — with a :class:`~repro.scenarios.lease.LeaseManager`
+  (``claims=...``) the scheduler is one member of a cooperating *fleet*
+  (:mod:`repro.scenarios.fleet`): units are claimed whole, nodes a peer
+  holds are deferred and read back from the point space, failures a
+  peer quarantines during the run are adopted (counter
+  ``plan_failures_adopted``), and a dead peer's expired claims are
+  stolen;
+* **dispatch** — the units' tasks stream over the executor's
+  capture-mode :meth:`~repro.perf.SweepExecutor.submit_stream_safe`;
+* **land/commit** — each solved node is cached, written into the point
+  space (``points/<key>.json``) so a killed batch resumes from its
+  solved points, and unlocks its dependents.  Under claims every commit
+  is fenced — ``put_point``-before-release, with a
   :class:`~repro.errors.LeaseLostError` check that keeps a usurped
-  worker from publishing over its successor.
+  worker from publishing over its successor;
+* **fail** — failures are *results*, not exceptions that unwind the
+  scheduler: a failed multi-node task degrades to per-member solo
+  dispatch, solo failures retry under the
+  :class:`~repro.perf.RetryPolicy` (backoff with deterministic jitter;
+  each attempt is an independent fault-injection draw), and whatever
+  exhausts its budget is *quarantined* as a
+  :class:`~repro.perf.NodeFailure` in ``ScheduleOutcome.failures`` (and
+  the store's ``failures/`` space) while the rest of the plan completes.
+  Dependents of a quarantined node cascade into the ledger.
+
+Transient nodes dispatch like solve nodes; nonlinear nodes dispatch
+once their linear baseline lands, seeding the k(T) fixed-point chain.
+Calibration and case-study nodes run in the parent between completions,
+so a calibration's calibrated solves dispatch in the next wave.
 
 Every solve is deterministic and batched solves are bit-identical to
 per-point solves, so cache hits, store hits, fresh solves and group
@@ -80,29 +58,26 @@ changes the assembled results.  Counters land in
 :func:`repro.perf.stats`: ``plan_point_solves`` (actual solves
 dispatched), ``plan_transient_solves`` / ``plan_nonlinear_solves`` (the
 physics-kind subsets), ``plan_matrix_groups`` / ``plan_grouped_solves``
-(matrix groups dispatched and the nodes they carried),
-``plan_stacked_batches`` / ``plan_stacked_solves`` (stacked batches
-dispatched and the nodes they carried),
-``plan_calibrations``, ``point_store_hits`` / ``point_store_misses``,
-``plan_retries`` (failed dispatches re-attempted),
+and ``plan_stacked_batches`` / ``plan_stacked_solves`` (units dispatched
+and the nodes they carried), ``plan_calibrations``,
+``point_store_hits`` / ``point_store_misses``, ``plan_retries``,
 ``plan_group_degradations`` (multi-node tasks split after a failure),
-``plan_quarantined`` (nodes that exhausted their budget),
-``plan_poison_degradations`` (nodes forced solo by the fleet-wide blame
-ledger) and ``plan_poison_quarantined`` (nodes quarantined outright for
-repeatedly crashing executors — see the store's ``blame/`` space and
-:class:`~repro.perf.RetryPolicy`'s ``poison_solo_after`` /
-``poison_quarantine_after`` thresholds).
+``plan_quarantined``, ``plan_poison_degradations`` (nodes forced solo by
+the blame ledger) and ``plan_poison_quarantined`` (see the store's
+``blame/`` space and :class:`~repro.perf.RetryPolicy`'s
+``poison_solo_after`` / ``poison_quarantine_after`` thresholds).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
 from collections import defaultdict, deque
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..calibration import fit_coefficients
 from ..core.nonlinear import NonlinearResult
@@ -217,7 +192,7 @@ def execute_plan(
     on_node: OnNodeFn | None = None,
     group_matrices: bool = True,
     stack_batches: bool = True,
-    retry: RetryPolicy | None = DEFAULT_RETRY,
+    retry: RetryPolicy = DEFAULT_RETRY,
     claims: LeaseManager | None = None,
     poll_s: float = 0.05,
     drain: DrainGuard | None = None,
@@ -227,30 +202,17 @@ def execute_plan(
     ``store`` enables point-level persistence (always written when given);
     ``resume`` additionally *reads* stored points, so an interrupted batch
     picks up from its solved points instead of re-solving them.
-    ``group_matrices`` controls the matrix-batched dispatch: ready nodes
-    sharing an ``assembly_key`` are solved as one group (factor once, one
-    RHS per node) unless disabled — results are bit-identical either way.
-    ``stack_batches`` controls the cross-matrix stacked tier below it:
-    ungrouped solve nodes sharing a ``batch_class_key`` are solved as one
-    batched dense call unless disabled — also bit-identical either way.
-    ``retry`` is the fault-tolerance policy: transient task failures are
-    retried up to ``retry.max_attempts`` dispatches (solo, with backoff),
-    multi-node tasks degrade to per-member dispatch on failure, and
-    exhausted nodes land in ``ScheduleOutcome.failures`` instead of
-    raising; ``retry=None`` disables capture entirely — the historical
-    behaviour where the first worker exception unwinds the scheduler.
+    ``group_matrices`` / ``stack_batches`` switch the matrix-group and
+    stacked-batch tiers (bit-identical either way; off is the per-point
+    reference the identity tests compare against).  ``retry`` is the
+    fault-tolerance policy: transient task failures are retried up to
+    ``retry.max_attempts`` dispatches (solo, with backoff), and exhausted
+    nodes land in ``ScheduleOutcome.failures`` instead of raising.
 
-    ``claims`` turns this scheduler into one cooperating member of a
-    *fleet*: every content-keyed dispatch node is solved only under an
-    acquired :mod:`~repro.scenarios.lease` claim, whole dispatch units
-    (matrix groups, stacked batches, point buckets) are claimed together
-    so the batch tiers survive distribution, nodes claimed by a peer are
-    *deferred* — their results are read back from the store when the
-    peer commits them (``poll_s`` paces that wait), a dead peer's claims
-    expire and its nodes are stolen, and results are committed
-    put-before-release with a fencing check so a worker that lost its
-    lease mid-solve never publishes over its usurper.  Requires
-    ``store`` (the point space is the inter-worker result channel).
+    ``claims`` makes this scheduler one cooperating member of a *fleet*
+    (see the module docstring's claim and land/commit phases); it
+    requires ``store``, the point space being the inter-worker result
+    channel, and ``poll_s`` paces the wait for a peer's results.
     Deterministic solves make any interleaving byte-identical to the
     single-process path.
 
@@ -261,76 +223,253 @@ def execute_plan(
     :class:`~repro.errors.DrainError`.  Landed points stay in the store,
     so ``resume=True`` continues exactly where the drain stopped.
     """
-    executor = executor or SerialExecutor()
     if claims is not None and store is None:
         raise ExperimentError(
             "claim-aware execution needs a store: the point space is the "
             "only channel through which cooperating workers exchange results"
         )
-    nodes = plan.nodes
-    outcome = ScheduleOutcome(results={})
-    results = outcome.results
-    failures = outcome.failures
-    attempts: dict[str, int] = {}  # failed dispatches per node key
-    solo: set[str] = set()  # keys that must dispatch alone (post-failure)
-    #: this wave's snapshot of the store's fleet-wide poison-unit ledger
-    blame_snapshot: dict[str, int] = {}
-    poison_forced: set[str] = set()  # keys already counted as poison-solo
-    #: nodes claimed by a cooperating worker: key -> (node, model, cache_key)
-    deferred: dict[str, tuple[Any, Any, str | None]] = {}
-    wall_start = time.time()  # gates peer-failure adoption to this run
-    last_renew = time.monotonic()
+    return _Scheduler(
+        plan=plan, executor=executor or SerialExecutor(), store=store,
+        resume=resume, progress=progress, on_node=on_node,
+        group_matrices=group_matrices, stack_batches=stack_batches,
+        retry=retry, claims=claims, poll_s=poll_s, drain=drain,
+    ).run()
 
-    indegree: dict[str, int] = {}
-    dependents: dict[str, list[str]] = defaultdict(list)
-    for key, node in nodes.items():
-        deps = set(node.deps)
-        missing = deps - nodes.keys()
-        if missing:
-            raise ExperimentError(
-                f"plan node {key} depends on unknown node(s) {sorted(missing)}"
-            )
-        indegree[key] = len(deps)
-        for dep in deps:
-            dependents[dep].append(key)
 
-    ready_solve: list[Any] = []
-    ready_other: deque[CalibrationNode | CaseStudyNode] = deque()
-    for key, node in nodes.items():
-        if indegree[key] == 0:
-            if isinstance(node, DISPATCH_NODE_TYPES):
-                ready_solve.append(node)
-            else:
-                ready_other.append(node)
+class _Entry(NamedTuple):
+    """A dispatchable node with the model it solves with and its
+    result-cache key (None: never cache)."""
 
-    total = len(nodes)
-    done = 0
-    last_completion = time.perf_counter()
+    node: Any
+    model: Any
+    cache_key: str | None
 
-    def complete(node: Any, source: str, dispatch: str | None = None) -> None:
+
+class _Unit(NamedTuple):
+    """The nodes one executor task carries.  ``shape`` — ``"group"``,
+    ``"stacked"`` or ``"point"`` — picks the task type and is the
+    progress event's ``dispatch`` label."""
+
+    shape: str
+    members: list[_Entry]
+
+
+#: unit shapes in task order: multi-node tiers dispatch before the point
+#: buckets, and each shape numbers its own tasks' ``index`` from 0 (the
+#: completion order follows the task order; fault-injection draw keys
+#: follow the numbering)
+_SHAPES = ("group", "stacked", "point")
+_TASK_SHAPE = {
+    MatrixGroupTask: "group",
+    StackedBatchTask: "stacked",
+    PointTask: "point",
+}
+
+
+def _cache_key(node: Any, model: Any) -> str | None:
+    """The result-cache key for a dispatchable node, or None (never cache).
+
+    For concrete picklable models the plan key IS the cache key; opaque
+    plan keys are compile-local and must not reach the cache.  Calibrated
+    models get their key only now that the fitted coefficients exist.
+    """
+    if isinstance(node, SolveNode) and node.model is None:
+        return solve_key(model, node.stack, node.via, node.power)
+    return node.key if is_content_key(node.key) else None
+
+
+def _decode(node: Any, payload: dict[str, Any]) -> Any:
+    """Decode a stored point payload into the node's result type."""
+    if isinstance(node, CalibrationNode):
+        return FittingCoefficients(
+            payload["k1"], payload["k2"], payload["c_bond"]
+        )
+    if isinstance(node, CaseStudyNode):
+        return StoredCaseStudy(payload)
+    if isinstance(node, TransientNode):
+        return TransientResult.from_payload(payload)
+    if isinstance(node, NonlinearNode):
+        return NonlinearResult.from_payload(payload)
+    return ModelResult.from_payload(payload)
+
+
+def _split_by(
+    entries: list[_Entry], key: Callable[[_Entry], Hashable | None]
+) -> tuple[list[list[_Entry]], list[_Entry]]:
+    """(groups of >1 entries sharing a non-None key, the rest): the
+    key-less entries in order, then the singletons, which gain nothing
+    from a tier and fall through to the next."""
+    by_key: dict[Hashable, list[_Entry]] = defaultdict(list)
+    rest: list[_Entry] = []
+    for entry in entries:
+        k = key(entry)
+        if k is None:
+            rest.append(entry)
+        else:
+            by_key[k].append(entry)
+    groups: list[list[_Entry]] = []
+    for members in by_key.values():
+        if len(members) > 1:
+            groups.append(members)
+        else:
+            rest.extend(members)
+    return groups, rest
+
+
+def _batch_class_key(entry: _Entry) -> str | None:
+    node = entry.node
+    if isinstance(node, SolveNode):
+        return entry.model.batch_class_key(node.stack, node.via)
+    return None
+
+
+def _point_buckets(entries: list[_Entry]) -> list[list[_Entry]]:
+    """Regroup ``entries`` into per-point buckets: one dispatch message
+    per sweep point, as in the eager sweep.  Two nodes share a bucket
+    only when their geometry matches and their model names don't collide
+    (e.g. two different ``model_a_cal`` fits)."""
+    buckets: list[dict[str, _Entry]] = []
+    by_point: dict[str, list[dict[str, _Entry]]] = defaultdict(list)
+    for entry in entries:
+        node = entry.node
+        point_key = content_key(node.stack, node.via, node.power)
+        if point_key is None:
+            buckets.append({node.model_name: entry})
+            continue
+        for bucket in by_point[point_key]:
+            if node.model_name not in bucket:
+                bucket[node.model_name] = entry
+                break
+        else:
+            bucket = {node.model_name: entry}
+            by_point[point_key].append(bucket)
+            buckets.append(bucket)
+    return [list(bucket.values()) for bucket in buckets]
+
+
+@dataclass
+class _Scheduler:
+    """One execution of one plan: :meth:`run` drives the waves through
+    the phases (:meth:`_resolve`, :meth:`_group`, :meth:`_claim`,
+    :meth:`_dispatch`, :meth:`_land`, :meth:`_fail`); :meth:`_complete`
+    is every node's single exit from the graph."""
+
+    plan: ExecutionPlan
+    executor: SweepExecutor
+    store: RunStore | None
+    resume: bool
+    progress: ProgressFn | None
+    on_node: OnNodeFn | None
+    group_matrices: bool
+    stack_batches: bool
+    retry: RetryPolicy
+    claims: LeaseManager | None
+    poll_s: float
+    drain: DrainGuard | None
+
+    def __post_init__(self) -> None:
+        self.nodes = self.plan.nodes
+        self.outcome = ScheduleOutcome(results={})
+        self.results = self.outcome.results
+        self.failures = self.outcome.failures
+        self.attempts: dict[str, int] = {}  # failed dispatches per node key
+        self.solo: set[str] = set()  # keys that must dispatch alone
+        #: this wave's snapshot of the store's fleet-wide poison-unit ledger
+        self.blame: dict[str, int] = {}
+        self.poison_forced: set[str] = set()  # keys counted as poison-solo
+        #: nodes claimed by a cooperating worker, by key
+        self.deferred: dict[str, _Entry] = {}
+        #: this wave's dispatch units by shape (tasks index into them)
+        self.units: dict[str, list[_Unit]] = {}
+        self.wall_start = time.time()  # gates peer-failure adoption
+        self.last_renew = time.monotonic()
+
+        self.ready: list[Any] = []  # dispatch nodes
+        self.ready_parent: deque[CalibrationNode | CaseStudyNode] = deque()
+        self.indegree: dict[str, int] = {}
+        self.dependents: dict[str, list[str]] = defaultdict(list)
+        for key, node in self.nodes.items():
+            deps = set(node.deps)
+            missing = deps.difference(self.nodes)  # O(len(deps)), not O(plan)
+            if missing:
+                raise ExperimentError(
+                    f"plan node {key} depends on unknown node(s) "
+                    f"{sorted(missing)}"
+                )
+            self.indegree[key] = len(deps)
+            for dep in deps:
+                self.dependents[dep].append(key)
+            if not deps:
+                self._enqueue(node)
+
+        self.total = len(self.nodes)
+        self.done = 0
+        self.last_completion = time.perf_counter()
+
+    def run(self) -> ScheduleOutcome:
+        while self.done < self.total:
+            self._check_drain()
+            progressed = self._run_parent_nodes()
+            if self.claims is not None and self.deferred:
+                progressed = self._poll_deferred() or progressed
+            if not self.ready:
+                if progressed:
+                    continue
+                if self.claims is not None and self.deferred:
+                    # every remaining node is in a peer's hands: wait for
+                    # results (or expired claims) instead of busy-spinning
+                    self._check_drain()
+                    self._maybe_renew()
+                    time.sleep(self.poll_s)
+                    continue
+                raise ExperimentError("execution plan has a dependency cycle")
+            batch, self.ready = self.ready, []
+            units = self._group(self._resolve(batch))
+            if self.claims is not None:
+                units = self._claim(units)
+            self._dispatch(units)
+        return self.outcome
+
+    def _enqueue(self, node: Any) -> None:
+        if isinstance(node, DISPATCH_NODE_TYPES):
+            self.ready.append(node)
+        else:
+            self.ready_parent.append(node)
+
+    def _stores(self, key: str) -> bool:
+        # opaque (non-content) keys are compile-local: never persisted
+        return self.store is not None and is_content_key(key)
+
+    def _complete(
+        self, node: Any, source: str, dispatch: str | None = None
+    ) -> None:
         """Shared bookkeeping for a node leaving the graph (success or
         quarantine): counts, dependent unlocking — with failed-dependency
         cascade — and the progress event."""
-        nonlocal done, last_completion
-        done += 1
-        outcome.counts[source] = outcome.counts.get(source, 0) + 1
-        for dep_key in dependents[node.key]:
-            indegree[dep_key] -= 1
-            if indegree[dep_key] == 0:
-                dep = nodes[dep_key]
-                failed_deps = sorted(set(dep.deps) & failures.keys())
+        self.done += 1
+        counts = self.outcome.counts
+        counts[source] = counts.get(source, 0) + 1
+        for dep_key in self.dependents[node.key]:
+            self.indegree[dep_key] -= 1
+            if self.indegree[dep_key] == 0:
+                dep = self.nodes[dep_key]
+                failed_deps = sorted(set(dep.deps) & self.failures.keys())
                 if failed_deps:
-                    quarantine_dependency(dep, failed_deps)
-                elif isinstance(dep, DISPATCH_NODE_TYPES):
-                    ready_solve.append(dep)
+                    self._quarantine(
+                        dep,
+                        "DependencyError",
+                        "depends on quarantined node(s): "
+                        + ", ".join(failed_deps),
+                        0,
+                    )
                 else:
-                    ready_other.append(dep)
+                    self._enqueue(dep)
         now = time.perf_counter()
-        elapsed, last_completion = now - last_completion, now
-        if progress is not None:
+        elapsed, self.last_completion = now - self.last_completion, now
+        if self.progress is not None:
             event = {
-                "done": done,
-                "total": total,
+                "done": self.done,
+                "total": self.total,
                 "key": node.key,
                 "kind": node.kind,
                 "source": source,
@@ -338,168 +477,105 @@ def execute_plan(
             }
             if dispatch is not None:
                 event["dispatch"] = dispatch
-            progress(event)
+            self.progress(event)
 
-    def finish(
-        node: Any, value: Any, source: str, dispatch: str | None = None
+    def _finish(
+        self, node: Any, value: Any, source: str, dispatch: str | None = None
     ) -> None:
-        results[node.key] = value
-        if store is not None and is_content_key(node.key):
+        self.results[node.key] = value
+        if self._stores(node.key):
             # a success supersedes any quarantine record from an earlier run
-            store.clear_failure(node.key)
-        if on_node is not None:
-            on_node(node.key, value)
-        complete(node, source, dispatch)
+            self.store.clear_failure(node.key)
+        if self.on_node is not None:
+            self.on_node(node.key, value)
+        self._complete(node, source, dispatch)
 
-    def quarantine(node: Any, failure: NodeFailure) -> None:
-        """Retire ``node`` into the failure ledger; the plan keeps going."""
-        failures[node.key] = failure
-        increment("plan_quarantined")
-        if store is not None and is_content_key(node.key):
-            # ledger-before-release: peers observing the freed claim find
-            # the failure record and adopt it instead of re-attempting
-            store.put_failure(node.key, failure)
-        if claims is not None:
-            claims.release(node.key)
-        complete(node, "failed")
+    def _finish_from_store(self, node: Any, cache_key: str | None) -> bool:
+        """Finish ``node`` from its stored point payload; False on a miss.
 
-    def quarantine_task_failure(
-        node: Any, failure: TaskFailure, n_attempts: int
-    ) -> None:
-        quarantine(
-            node,
-            NodeFailure(
-                key=node.key,
-                kind=node.kind,
-                error_class=failure.error_class,
-                message=failure.message,
-                traceback_digest=failure.traceback_digest,
-                attempts=n_attempts,
-            ),
-        )
-
-    def quarantine_dependency(dep: Any, failed_deps: list[str]) -> None:
-        quarantine(
-            dep,
-            NodeFailure(
-                key=dep.key,
-                kind=dep.kind,
-                error_class="DependencyError",
-                message=(
-                    "depends on quarantined node(s): "
-                    + ", ".join(failed_deps)
-                ),
-                traceback_digest="",
-                attempts=0,
-            ),
-        )
-
-    def run_calibration(node: CalibrationNode) -> None:
-        if resume and store is not None and is_content_key(node.key):
-            payload = store.get_point(node.key)
-            if payload is not None:
-                try:
-                    coefficients = FittingCoefficients(
-                        payload["k1"], payload["k2"], payload["c_bond"]
-                    )
-                except (KeyError, TypeError, ValueError):
-                    # readable JSON but not a calibration payload: heal it
-                    # away and re-fit rather than resume a poisoned point
-                    store.heal_point(node.key)
-                else:
-                    finish(node, coefficients, "store")
-                    return
-        # the node key IS the fit identity (reference config + sample solve
-        # keys), so the finished CalibrationResult memoizes under a key
-        # derived from it — repeated in-process batches skip the
-        # least-squares fit, not just the point solves
-        fit_key = (
-            calibration_fit_key(node.key) if is_content_key(node.key) else None
-        )
-
-        def compute():
-            targets = [results[k].max_rise for k in node.sample_keys]
-            fit = fit_coefficients(list(node.samples), None, targets=targets)
-            increment("plan_calibrations")
-            return fit
-
+        A payload that is readable JSON but the wrong shape (a healed-over
+        write, an older schema) is healed away and treated as a miss, so
+        the node re-solves instead of resuming a poisoned point.
+        """
+        payload = self.store.get_point(node.key)
+        if payload is None:
+            return False
         try:
-            fit, from_cache = memoized_fit(fit_key, compute)
-        except PROPAGATE_TYPES:
-            raise
-        except Exception as exc:
-            if retry is None:
-                raise
-            # parent-side nodes get no retries: a deterministic fit that
-            # failed once will fail again, so it goes straight to the ledger
-            quarantine_task_failure(node, failure_from_exception(exc), 1)
-            return
-        source = "cache" if from_cache else "solved"
-        coefficients = fit.coefficients
-        if store is not None and is_content_key(node.key):
-            store.put_point(
-                node.key,
-                {
-                    "kind": "calibration",
-                    "k1": coefficients.k1,
-                    "k2": coefficients.k2,
-                    "c_bond": coefficients.c_bond,
-                    "residual_rms": fit.residual_rms,
-                },
-            )
-        finish(node, coefficients, source)
+            result = _decode(node, payload)
+        except (KeyError, TypeError, ValueError):
+            self.store.heal_point(node.key)
+            return False
+        if cache_key is not None:
+            result_cache.put(cache_key, result)
+        self._finish(node, result, "store")
+        return True
 
-    def run_case_study(node: CaseStudyNode) -> None:
-        if resume and store is not None and is_content_key(node.key):
-            payload = store.get_point(node.key)
-            if payload is not None:
-                finish(node, StoredCaseStudy(payload), "store")
-                return
-        try:
-            result = run_case_study_spec(node.spec)
-        except PROPAGATE_TYPES:
-            raise
-        except Exception as exc:
-            if retry is None:
-                raise
-            quarantine_task_failure(node, failure_from_exception(exc), 1)
-            return
-        if store is not None and is_content_key(node.key):
-            store.put_point(node.key, result.to_payload())
-        finish(node, result, "solved")
-
-    def drain_parent_nodes() -> bool:
+    def _run_parent_nodes(self) -> bool:
         ran = False
-        while ready_other:
-            node = ready_other.popleft()
-            if isinstance(node, CalibrationNode):
-                run_calibration(node)
-            else:
-                run_case_study(node)
+        while self.ready_parent:
+            node = self.ready_parent.popleft()
             ran = True
+            if not (
+                self.resume
+                and self._stores(node.key)
+                and self._finish_from_store(node, None)
+            ):
+                self._run_parent(node)
         return ran
 
-    def node_cache_key(node: Any, model: Any) -> str | None:
-        """The result-cache key for a dispatchable node, or None (never cache).
+    def _fit(self, node: CalibrationNode) -> Any:
+        targets = [self.results[k].max_rise for k in node.sample_keys]
+        fit = fit_coefficients(list(node.samples), None, targets=targets)
+        increment("plan_calibrations")
+        return fit
 
-        For concrete picklable models the plan key IS the cache key;
-        opaque plan keys are compile-local and must not reach the cache.
-        Calibrated models get their key only now that the fitted
-        coefficients exist.
+    def _run_parent(self, node: CalibrationNode | CaseStudyNode) -> None:
+        """Compute a calibration fit or the case study in the parent.
+
+        A calibration's node key IS the fit identity (reference config +
+        sample solve keys), so the finished fit memoizes under a key
+        derived from it — repeated in-process batches skip the
+        least-squares fit, not just the point solves.  Parent-side nodes
+        get no retries: a deterministic computation that failed once will
+        fail again, so it goes straight to the ledger.
         """
-        if isinstance(node, SolveNode) and node.model is None:
-            return solve_key(model, node.stack, node.via, node.power)
-        return node.key if is_content_key(node.key) else None
+        calibration = isinstance(node, CalibrationNode)
+        try:
+            if calibration:
+                fit, from_cache = memoized_fit(
+                    calibration_fit_key(node.key)
+                    if is_content_key(node.key)
+                    else None,
+                    functools.partial(self._fit, node),
+                )
+            else:
+                result = run_case_study_spec(node.spec)
+        except PROPAGATE_TYPES:
+            raise
+        except Exception as exc:
+            failure = failure_from_exception(exc)
+            self._quarantine(
+                node, failure.error_class, failure.message, 1,
+                failure.traceback_digest,
+            )
+            return
+        if not calibration:
+            value, source, payload = result, "solved", result.to_payload()
+        else:
+            value = fit.coefficients
+            source = "cache" if from_cache else "solved"
+            payload = {
+                "kind": "calibration",
+                "k1": value.k1,
+                "k2": value.k2,
+                "c_bond": value.c_bond,
+                "residual_rms": fit.residual_rms,
+            }
+        if self._stores(node.key):
+            self.store.put_point(node.key, payload)
+        self._finish(node, value, source)
 
-    def node_payload_result(node: Any, payload: dict[str, Any]) -> Any:
-        """Decode a stored point payload into the node's result type."""
-        if isinstance(node, TransientNode):
-            return TransientResult.from_payload(payload)
-        if isinstance(node, NonlinearNode):
-            return NonlinearResult.from_payload(payload)
-        return ModelResult.from_payload(payload)
-
-    def node_model(node: Any) -> Any:
+    def _model(self, node: Any) -> Any:
         """The dispatchable model instance a ready node solves with.
 
         Solve nodes carry their model (or materialise the calibrated one
@@ -508,34 +584,106 @@ def execute_plan(
         """
         if isinstance(node, NonlinearNode):
             return NonlinearModel(
-                node.model, node.params, initial=results[node.linear]
+                node.model, node.params, initial=self.results[node.linear]
             )
         if node.model is None:
             return calibrated_model_from_fit(
-                results[node.calibration], name=node.model_name
+                self.results[node.calibration], name=node.model_name
             )
         return node.model
 
-    # ------------------------------------------------------------------
-    # fleet cooperation: lease claiming, peer read-back, failure adoption
-    # ------------------------------------------------------------------
-    def finish_from_store(entry: tuple[Any, Any, str | None]) -> bool:
-        """Finish a node from a peer's stored payload; False on miss."""
-        node, _, cache_key = entry
-        payload = store.get_point(node.key)
-        if payload is None:
-            return False
-        try:
-            result = node_payload_result(node, payload)
-        except (KeyError, TypeError, ValueError):
-            store.heal_point(node.key)
-            return False
-        if cache_key is not None:
-            result_cache.put(cache_key, result)
-        finish(node, result, "store")
-        return True
+    def _resolve(self, batch: list[Any]) -> list[_Entry]:
+        """Finish what the cache or the store already holds; return the
+        rest as dispatch entries."""
+        entries: list[_Entry] = []
+        for node in batch:
+            model = self._model(node)
+            cache_key = _cache_key(node, model)
+            cached = (
+                result_cache.get(cache_key) if cache_key is not None else None
+            )
+            if cached is not None:
+                # persist cache-satisfied nodes too: resume must not depend
+                # on the in-memory cache of the killed process
+                if self._stores(node.key):
+                    self.store.put_point(node.key, cached.to_payload())
+                self._finish(node, cached, "cache")
+                continue
+            if (
+                self.resume
+                and self._stores(node.key)
+                and self._finish_from_store(node, cache_key)
+            ):
+                continue
+            entries.append(_Entry(node, model, cache_key))
+        return entries
 
-    def adopt_peer_failure(node: Any) -> bool:
+    def _poison_filter(self, entries: list[_Entry]) -> list[_Entry]:
+        """Apply the store's fleet-wide blame ledger to a wave.
+
+        A node whose executors have crashed ``poison_solo_after`` times
+        (across every worker and every supervisor respawn) is forced out
+        of the batch tiers into solo dispatch; past
+        ``poison_quarantine_after`` it goes straight to the failure
+        ledger without costing this worker a single pool rebuild.
+        """
+        if self.store is None or not entries:
+            return entries
+        self.blame = self.store.blame_counts()
+        if not self.blame:
+            return entries
+        retry = self.retry
+        kept: list[_Entry] = []
+        for entry in entries:
+            key = entry.node.key
+            count = self.blame.get(key, 0) if is_content_key(key) else 0
+            if count >= retry.poison_quarantine_after:
+                increment("plan_poison_quarantined")
+                self._quarantine(
+                    entry.node,
+                    "PoisonedUnitError",
+                    f"poison unit: crashed its executor {count}x fleet-wide "
+                    f"(threshold {retry.poison_quarantine_after})",
+                    self.attempts.get(key, 0),
+                )
+                continue
+            if count >= retry.poison_solo_after and key not in self.solo:
+                self.solo.add(key)
+                if key not in self.poison_forced:
+                    self.poison_forced.add(key)
+                    increment("plan_poison_degradations")
+            kept.append(entry)
+        return kept
+
+    def _group(self, entries: list[_Entry]) -> list[_Unit]:
+        """Build the wave's dispatch units, in dispatch order.
+
+        Matrix groups first: nodes sharing an ``assembly_key`` solve the
+        identical system matrix and differ only in their RHS, so they
+        factor once and back-substitute per member.  Stacked batches
+        second: leftover solve nodes sharing a ``batch_class_key``
+        assemble congruent systems with *different* matrices, so there is
+        no factor to share — the whole class solves as one batched
+        ``(m, n, n)`` LAPACK call.  Then per-point buckets.  Nodes that
+        already failed once dispatch *solo*, last: out of every
+        multi-node unit, so a retry's blame is unambiguous and one repeat
+        offender cannot sink innocents again.
+        """
+        entries = self._poison_filter(entries)
+        solo = [e for e in entries if e.node.key in self.solo]
+        rest = [e for e in entries if e.node.key not in self.solo]
+        units: list[_Unit] = []
+        if self.group_matrices:
+            groups, rest = _split_by(rest, lambda e: e.node.assembly_key)
+            units += [_Unit("group", members) for members in groups]
+        if self.stack_batches:
+            stacks, rest = _split_by(rest, _batch_class_key)
+            units += [_Unit("stacked", members) for members in stacks]
+        units += [_Unit("point", members) for members in _point_buckets(rest)]
+        units += [_Unit("point", [entry]) for entry in solo]
+        return units
+
+    def _adopt_peer_failure(self, node: Any) -> bool:
         """Adopt a failure a peer quarantined *during this run*.
 
         Records written before this run started are stale — ``--resume``
@@ -543,18 +691,18 @@ def execute_plan(
         ledger file's age: only a record younger than this execution is
         a cooperating worker's verdict on the very plan we are running.
         """
-        failure = store.get_failure(node.key)
+        failure = self.store.get_failure(node.key)
         if failure is None:
             return False
-        age = store.failure_age_s(node.key)
-        if age is None or time.time() - age < wall_start:
+        age = self.store.failure_age_s(node.key)
+        if age is None or time.time() - age < self.wall_start:
             return False
-        failures[node.key] = failure
+        self.failures[node.key] = failure
         increment("plan_failures_adopted")
-        complete(node, "failed")
+        self._complete(node, "failed")
         return True
 
-    def claim_entry(entry: tuple[Any, Any, str | None]) -> bool:
+    def _claim_entry(self, entry: _Entry) -> bool:
         """Secure ``entry`` for local dispatch; False removes it.
 
         False means the node left this worker's hands: a peer holds its
@@ -564,22 +712,22 @@ def execute_plan(
         a content key cannot be shared through the store at all, so
         every worker simply computes them locally.
         """
-        node = entry[0]
+        node = entry.node
         if not is_content_key(node.key):
             return True
-        if adopt_peer_failure(node):
+        if self._adopt_peer_failure(node):
             return False
-        if not claims.acquire(node.key):
-            deferred[node.key] = entry
+        if not self.claims.acquire(node.key):
+            self.deferred[node.key] = entry
             return False
         # the claim is ours, but a peer may have completed-and-released
         # this node since our resume check: the store is the arbiter
-        if finish_from_store(entry):
-            claims.release(node.key)
+        if self._finish_from_store(node, entry.cache_key):
+            self.claims.release(node.key)
             return False
         return True
 
-    def claim_units(grouped, stacks, buckets) -> tuple[dict, list, list]:
+    def _claim(self, units: list[_Unit]) -> list[_Unit]:
         """Claim whole dispatch units, rotated so workers spread out.
 
         Units are claimed member-by-member but *visited* whole — a
@@ -594,40 +742,20 @@ def execute_plan(
         visiting and takes whatever is still unclaimed: work stealing
         falls out of the same loop.
         """
-        units: list[tuple[str, Any]] = (
-            [("group", akey) for akey in grouped]
-            + [("stack", i) for i in range(len(stacks))]
-            + [("bucket", i) for i in range(len(buckets))]
-        )
         if not units:
-            return grouped, stacks, buckets
+            return units
         seed = hashlib.blake2b(
-            claims.owner.encode(), digest_size=4
+            self.claims.owner.encode(), digest_size=4
         ).digest()
         offset = int.from_bytes(seed, "big") % len(units)
-        kept_groups: dict[str, list] = {}
-        kept_stacks: list[list] = []
-        kept_buckets: list[dict] = []
-        for shape, ref in units[offset:] + units[:offset]:
-            if shape == "group":
-                members = [e for e in grouped[ref] if claim_entry(e)]
-                if members:
-                    kept_groups[ref] = members
-            elif shape == "stack":
-                members = [e for e in stacks[ref] if claim_entry(e)]
-                if members:
-                    kept_stacks.append(members)
-            else:
-                bucket = {
-                    name: e
-                    for name, e in buckets[ref].items()
-                    if claim_entry(e)
-                }
-                if bucket:
-                    kept_buckets.append(bucket)
-        return kept_groups, kept_stacks, kept_buckets
+        kept: list[_Unit] = []
+        for unit in units[offset:] + units[:offset]:
+            members = [e for e in unit.members if self._claim_entry(e)]
+            if members:
+                kept.append(_Unit(unit.shape, members))
+        return kept
 
-    def poll_deferred() -> bool:
+    def _poll_deferred(self) -> bool:
         """Resolve deferred nodes; True when any left deferral.
 
         A deferred node comes back three ways: its holder committed a
@@ -637,371 +765,206 @@ def execute_plan(
         ready set.
         """
         progressed = False
-        for key, entry in list(deferred.items()):
-            node = entry[0]
-            if finish_from_store(entry) or adopt_peer_failure(node):
-                del deferred[key]
-                progressed = True
-            elif claims.acquire(key):
-                del deferred[key]
-                ready_solve.append(node)
-                progressed = True
+        for key, (node, _, cache_key) in list(self.deferred.items()):
+            if not (
+                self._finish_from_store(node, cache_key)
+                or self._adopt_peer_failure(node)
+            ):
+                if not self.claims.acquire(key):
+                    continue
+                self.ready.append(node)
+            del self.deferred[key]
+            progressed = True
         return progressed
 
-    def maybe_renew() -> None:
+    def _maybe_renew(self) -> None:
         """Extend this worker's claims well before any can expire."""
-        nonlocal last_renew
         now = time.monotonic()
-        if claims is not None and now - last_renew >= claims.ttl_s / 3.0:
+        claims = self.claims
+        if claims is not None and now - self.last_renew >= claims.ttl_s / 3.0:
             claims.renew_all()
-            last_renew = now
+            self.last_renew = now
 
-    def check_drain() -> None:
+    def _check_drain(self) -> None:
         """Honour a pending drain request at this safe point.
 
         Everything that already landed is committed; every lease this
         worker still holds is released so peers (or a later ``--resume``)
         pick the nodes up immediately instead of waiting out the TTL.
         """
-        if drain is not None and drain.requested is not None:
-            if claims is not None:
-                claims.release_all()
-            raise DrainError(drain.requested)
+        if self.drain is not None and self.drain.requested is not None:
+            if self.claims is not None:
+                self.claims.release_all()
+            raise DrainError(self.drain.requested)
 
-    while done < total:
-        check_drain()
-        progressed = drain_parent_nodes()
-        if claims is not None and deferred:
-            progressed = poll_deferred() or progressed
-        if not ready_solve:
-            if progressed:
-                continue
-            if claims is not None and deferred:
-                # every remaining node is in a peer's hands: wait for
-                # results (or expired claims) instead of busy-spinning
-                check_drain()
-                maybe_renew()
-                time.sleep(poll_s)
-                continue
-            raise ExperimentError("execution plan has a dependency cycle")
-
-        batch, ready_solve = ready_solve, []
-        dispatch: list[tuple[Any, Any, str | None]] = []
-        for node in batch:
-            model = node_model(node)
-            cache_key = node_cache_key(node, model)
-            cached = (
-                result_cache.get(cache_key) if cache_key is not None else None
-            )
-            if cached is not None:
-                # persist cache-satisfied nodes too: resume must not depend
-                # on the in-memory cache of the killed process
-                if store is not None and is_content_key(node.key):
-                    store.put_point(node.key, cached.to_payload())
-                finish(node, cached, "cache")
-                continue
-            if resume and store is not None and is_content_key(node.key):
-                payload = store.get_point(node.key)
-                if payload is not None:
-                    try:
-                        result = node_payload_result(node, payload)
-                    except (KeyError, TypeError, ValueError):
-                        # valid JSON, wrong shape (e.g. a healed-over write
-                        # from an older schema): treat as a miss and re-solve
-                        store.heal_point(node.key)
-                    else:
-                        if cache_key is not None:
-                            result_cache.put(cache_key, result)
-                        finish(node, result, "store")
-                        continue
-            dispatch.append((node, model, cache_key))
-
-        # poison-unit isolation: consult the store's fleet-wide blame
-        # ledger before building dispatch units.  A node whose executors
-        # have crashed poison_solo_after times (across every worker and
-        # every supervisor respawn) is forced out of the batch tiers into
-        # solo dispatch; past poison_quarantine_after it goes straight to
-        # the failure ledger without costing this worker a single pool
-        # rebuild.
-        if store is not None and retry is not None and dispatch:
-            blame_snapshot = store.blame_counts()
-            if blame_snapshot:
-                kept: list[tuple[Any, Any, str | None]] = []
-                for entry in dispatch:
-                    node = entry[0]
-                    count = (
-                        blame_snapshot.get(node.key, 0)
-                        if is_content_key(node.key)
-                        else 0
-                    )
-                    if count >= retry.poison_quarantine_after:
-                        increment("plan_poison_quarantined")
-                        quarantine(
-                            node,
-                            NodeFailure(
-                                key=node.key,
-                                kind=node.kind,
-                                error_class="PoisonedUnitError",
-                                message=(
-                                    f"poison unit: crashed its executor "
-                                    f"{count}x fleet-wide (threshold "
-                                    f"{retry.poison_quarantine_after})"
-                                ),
-                                traceback_digest="",
-                                attempts=attempts.get(node.key, 0),
-                            ),
-                        )
-                        continue
-                    if count >= retry.poison_solo_after and node.key not in solo:
-                        solo.add(node.key)
-                        if node.key not in poison_forced:
-                            poison_forced.add(node.key)
-                            increment("plan_poison_degradations")
-                    kept.append(entry)
-                dispatch = kept
-
-        # matrix groups first: nodes sharing an assembly_key solve the
-        # identical system matrix and differ only in their RHS, so they
-        # dispatch as one MatrixGroupTask (voxelise/assemble/factor once,
-        # back-substitute per member; the shared payload crosses the
-        # process boundary once).  Singleton "groups" gain nothing and
-        # fall back to per-point batching with everything else.
-        # nodes that already failed once dispatch *solo*: out of any matrix
-        # group or multi-model bucket, so the retry's blame is unambiguous
-        # and one repeat offender cannot sink innocents again
-        solo_entries = [e for e in dispatch if e[0].key in solo]
-        dispatch = [e for e in dispatch if e[0].key not in solo]
-
-        grouped: dict[str, list[tuple[Any, Any, str | None]]] = {}
-        ungrouped: list[tuple[Any, Any, str | None]] = []
-        if group_matrices:
-            by_assembly: dict[str, list] = defaultdict(list)
-            for entry in dispatch:
-                akey = entry[0].assembly_key
-                if akey is not None:
-                    by_assembly[akey].append(entry)
-                else:
-                    ungrouped.append(entry)
-            for akey, members in by_assembly.items():
-                if len(members) > 1:
-                    grouped[akey] = members
-                else:
-                    ungrouped.extend(members)
-        else:
-            ungrouped = list(dispatch)
-
-        # stacked batches second: leftover solve nodes sharing a
-        # batch_class_key assemble structurally congruent systems with
-        # *different* matrices (a geometry sweep over a small network
-        # model), so there is no factor to share — instead every member's
-        # dense system is assembled and the whole class solves as one
-        # batched (m, n, n) LAPACK call.  Singletons gain nothing and
-        # fall through to per-point batching.
-        stacks: list[list[tuple[Any, Any, str | None]]] = []
-        if stack_batches:
-            by_class: dict[str, list] = defaultdict(list)
-            rest: list[tuple[Any, Any, str | None]] = []
-            for entry in ungrouped:
-                node, model, _ = entry
-                bkey = (
-                    model.batch_class_key(node.stack, node.via)
-                    if isinstance(node, SolveNode)
-                    else None
-                )
-                if bkey is not None:
-                    by_class[bkey].append(entry)
-                else:
-                    rest.append(entry)
-            for members in by_class.values():
-                if len(members) > 1:
-                    stacks.append(members)
-                else:
-                    rest.extend(members)
-            ungrouped = rest
-
-        # the rest regroups into per-point tasks, so one dispatch message
-        # carries every model of a sweep point (the same batching — and
-        # pickling cost — as the eager sweep); two nodes only share a
-        # task when their geometry matches and their model names don't
-        # collide (e.g. two different model_a_cal fits)
-        buckets: list[dict[str, tuple[Any, Any, str | None]]] = []
-        by_point: dict[str, list[dict]] = defaultdict(list)
-        for node, model, cache_key in ungrouped:
-            point_key = content_key(node.stack, node.via, node.power)
-            if point_key is None:
-                buckets.append({node.model_name: (node, model, cache_key)})
-                continue
-            for bucket in by_point[point_key]:
-                if node.model_name not in bucket:
-                    bucket[node.model_name] = (node, model, cache_key)
-                    break
-            else:
-                bucket = {node.model_name: (node, model, cache_key)}
-                by_point[point_key].append(bucket)
-                buckets.append(bucket)
-
-        for entry in solo_entries:
-            buckets.append({entry[0].model_name: entry})
-
-        if claims is not None:
-            grouped, stacks, buckets = claim_units(grouped, stacks, buckets)
-
-        # multi-node tiers dispatch before the point buckets: their
-        # results land (and unlock dependents inline) while the solo
-        # stream is still running, so a late solo failure under
-        # ``retry=None`` cannot unwind scenarios whose batched nodes
-        # already completed
-        tasks: list[SweepTask] = []
-        groups = list(grouped.values())
-        for i, members in enumerate(groups):
-            node, model, _ = members[0]
+    def _task(self, unit: _Unit, index: int) -> SweepTask:
+        members = unit.members
+        node, model, _ = members[0]
+        if unit.shape == "group":
             increment("plan_matrix_groups")
             increment("plan_grouped_solves", len(members))
-            tasks.append(
-                MatrixGroupTask(
-                    index=i,
-                    stack=node.stack,
-                    via=node.via,
-                    model=model,
-                    powers=tuple(m[0].power for m in members),
-                )
+            return MatrixGroupTask(
+                index=index,
+                stack=node.stack,
+                via=node.via,
+                model=model,
+                powers=tuple(e.node.power for e in members),
             )
-        for i, members in enumerate(stacks):
+        if unit.shape == "stacked":
             increment("plan_stacked_batches")
             increment("plan_stacked_solves", len(members))
-            tasks.append(
-                StackedBatchTask(
-                    index=i,
-                    members=tuple(
-                        (model, node.stack, node.via, node.power)
-                        for node, model, _ in members
-                    ),
-                )
+            return StackedBatchTask(
+                index=index,
+                members=tuple(
+                    (e.model, e.node.stack, e.node.via, e.node.power)
+                    for e in members
+                ),
             )
-        for i, bucket in enumerate(buckets):
-            node, _, _ = next(iter(bucket.values()))
-            tasks.append(
-                PointTask(
-                    index=i,
-                    value=node.value,
-                    stack=node.stack,
-                    via=node.via,
-                    power=node.power,
-                    models=tuple(model for _, model, _ in bucket.values()),
-                    # retries draw fresh fault-injection decisions
-                    attempt=(
-                        attempts.get(node.key, 0) if len(bucket) == 1 else 0
-                    ),
-                )
-            )
+        return PointTask(
+            index=index,
+            value=node.value,
+            stack=node.stack,
+            via=node.via,
+            power=node.power,
+            models=tuple(e.model for e in members),
+            # retries draw fresh fault-injection decisions
+            attempt=self.attempts.get(node.key, 0) if len(members) == 1 else 0,
+        )
 
-        def land(
-            node: Any, cache_key: str | None, result: Any, dispatch: str
-        ) -> None:
-            increment("plan_point_solves")
-            if isinstance(node, (TransientNode, NonlinearNode)):
-                increment(f"plan_{node.kind}_solves")
-            if cache_key is not None:
-                result_cache.put(cache_key, result)
-            if store is not None and is_content_key(node.key):
-                if claims is not None:
-                    try:
-                        # the zombie write guard: commit only while the
-                        # lease is provably still ours (put-before-release)
-                        claims.check(node.key)
-                    except LeaseLostError:
-                        # usurped mid-solve — the usurper publishes; our
-                        # byte-identical result still satisfies this
-                        # worker's own plan locally
-                        finish(node, result, "solved", dispatch)
-                        return
-                store.put_point(node.key, result.to_payload())
-                _record_solve(node.key)
-                if node.key in blame_snapshot:
-                    # it finally solved cleanly: absolve it so a lingering
-                    # blame count cannot poison-quarantine future runs
-                    store.clear_blame(node.key)
-                    blame_snapshot.pop(node.key, None)
-                if claims is not None:
-                    claims.release(node.key)
-            finish(node, result, "solved", dispatch)
+    def _task_members(self, task: SweepTask) -> list[_Entry]:
+        unit = self.units[_TASK_SHAPE[type(task)]][task.index]
+        if isinstance(task, PointTask):
+            return unit.members
+        # a parallel executor may have split the unit into sub-blocks;
+        # task.offset realigns them with the members
+        size = len(
+            task.powers if isinstance(task, MatrixGroupTask) else task.members
+        )
+        return unit.members[task.offset : task.offset + size]
 
-        def task_members(task: SweepTask) -> list[tuple[Any, Any, str | None]]:
-            if isinstance(task, MatrixGroupTask):
-                # a parallel executor may have split the group into RHS
-                # sub-blocks; task.offset realigns them with the members
-                return groups[task.index][
-                    task.offset : task.offset + len(task.powers)
-                ]
-            if isinstance(task, StackedBatchTask):
-                return stacks[task.index][
-                    task.offset : task.offset + len(task.members)
-                ]
-            return list(buckets[task.index].values())
-
-        def handle_failure(task: SweepTask, failure: TaskFailure) -> None:
-            members = task_members(task)
-            if len(members) > 1:
-                # blame inside a multi-node dispatch is unknowable from the
-                # outside (one bad RHS column, one crashing model) — degrade
-                # to per-member solo dispatch instead of charging anyone an
-                # attempt, so innocents complete and the culprit identifies
-                # itself on its own retry
-                increment("plan_group_degradations")
-                for node, _, _ in members:
-                    solo.add(node.key)
-                    ready_solve.append(node)
-                return
-            node = members[0][0]
-            n = attempts.get(node.key, 0) + 1
-            attempts[node.key] = n
-            if (
-                store is not None
-                and is_content_key(node.key)
-                and failure.error_class == "WorkerCrashError"
-            ):
-                # a solo crash is unambiguous blame: count it in the
-                # fleet-wide ledger so peers (and respawned workers) stop
-                # feeding this unit to fresh executors, and quarantine it
-                # here the moment it crosses the threshold
-                count = store.add_blame(node.key)
-                if count >= retry.poison_quarantine_after:
-                    increment("plan_poison_quarantined")
-                    quarantine_task_failure(node, failure, n)
-                    return
-            if failure.transient and n < retry.max_attempts:
-                increment("plan_retries")
-                solo.add(node.key)
-                time.sleep(retry.delay_s(n, node.key))
-                ready_solve.append(node)
-                return
-            quarantine_task_failure(node, failure, n)
-
-        if retry is None:
-            stream = executor.submit_stream(tasks)
-        else:
-            stream = executor.submit_stream_safe(
-                tasks, timeout_s=retry.node_timeout_s
-            )
+    def _dispatch(self, units: list[_Unit]) -> None:
+        self.units = {
+            shape: [u for u in units if u.shape == shape] for shape in _SHAPES
+        }
+        tasks = [
+            self._task(unit, index)
+            for shape in _SHAPES
+            for index, unit in enumerate(self.units[shape])
+        ]
+        stream = self.executor.submit_stream_safe(
+            tasks, timeout_s=self.retry.node_timeout_s
+        )
         for task, solved in stream:
             # drain between completions: the finished result has been
-            # committed by land(); anything still in flight is abandoned
+            # committed by _land(); anything still in flight is abandoned
             # (its lease is released, a peer or a resume re-solves it)
-            check_drain()
-            maybe_renew()
+            self._check_drain()
+            self._maybe_renew()
             if isinstance(solved, TaskFailure):
-                handle_failure(task, solved)
-            elif isinstance(task, (MatrixGroupTask, StackedBatchTask)):
-                shape = "group" if isinstance(task, MatrixGroupTask) else "stacked"
-                for (node, _, cache_key), result in zip(
-                    task_members(task), solved
-                ):
-                    land(node, cache_key, result, shape)
-            else:
-                for node, _, cache_key in buckets[task.index].values():
-                    land(node, cache_key, solved[node.model_name], "point")
+                self._fail(task, solved)
+                continue
+            members = self._task_members(task)
+            shape = _TASK_SHAPE[type(task)]
+            if shape == "point":
+                solved = [solved[e.node.model_name] for e in members]
+            for entry, result in zip(members, solved):
+                self._land(entry, result, shape)
             # calibrations whose samples just landed run immediately,
             # unlocking their calibrated solves for the next wave
-            drain_parent_nodes()
+            self._run_parent_nodes()
 
-    return outcome
+    def _land(self, entry: _Entry, result: Any, dispatch: str) -> None:
+        node = entry.node
+        increment("plan_point_solves")
+        if isinstance(node, (TransientNode, NonlinearNode)):
+            increment(f"plan_{node.kind}_solves")
+        if entry.cache_key is not None:
+            result_cache.put(entry.cache_key, result)
+        if self._stores(node.key):
+            if self.claims is not None:
+                try:
+                    # the zombie write guard: commit only while the
+                    # lease is provably still ours (put-before-release)
+                    self.claims.check(node.key)
+                except LeaseLostError:
+                    # usurped mid-solve — the usurper publishes; our
+                    # byte-identical result still satisfies this
+                    # worker's own plan locally
+                    self._finish(node, result, "solved", dispatch)
+                    return
+            self.store.put_point(node.key, result.to_payload())
+            _record_solve(node.key)
+            if node.key in self.blame:
+                # it finally solved cleanly: absolve it so a lingering
+                # blame count cannot poison-quarantine future runs
+                self.store.clear_blame(node.key)
+                self.blame.pop(node.key, None)
+            if self.claims is not None:
+                self.claims.release(node.key)
+        self._finish(node, result, "solved", dispatch)
+
+    def _fail(self, task: SweepTask, failure: TaskFailure) -> None:
+        members = self._task_members(task)
+        if len(members) > 1:
+            # blame inside a multi-node dispatch is unknowable from the
+            # outside (one bad RHS column, one crashing model) — degrade
+            # to per-member solo dispatch instead of charging anyone an
+            # attempt, so innocents complete and the culprit identifies
+            # itself on its own retry
+            increment("plan_group_degradations")
+            for entry in members:
+                self.solo.add(entry.node.key)
+                self.ready.append(entry.node)
+            return
+        node = members[0].node
+        n = self.attempts.get(node.key, 0) + 1
+        self.attempts[node.key] = n
+        # a solo crash is unambiguous blame: count it in the fleet-wide
+        # ledger so peers (and respawned workers) stop feeding this unit
+        # to fresh executors, and quarantine it here the moment it
+        # crosses the threshold
+        poisoned = (
+            self._stores(node.key)
+            and failure.error_class == "WorkerCrashError"
+            and self.store.add_blame(node.key)
+            >= self.retry.poison_quarantine_after
+        )
+        if poisoned:
+            increment("plan_poison_quarantined")
+        elif failure.transient and n < self.retry.max_attempts:
+            increment("plan_retries")
+            self.solo.add(node.key)
+            time.sleep(self.retry.delay_s(n, node.key))
+            self.ready.append(node)
+            return
+        self._quarantine(
+            node, failure.error_class, failure.message, n,
+            failure.traceback_digest,
+        )
+
+    def _quarantine(
+        self,
+        node: Any,
+        error_class: str,
+        message: str,
+        attempts: int,
+        traceback_digest: str = "",
+    ) -> None:
+        """Retire ``node`` into the failure ledger; the plan keeps going."""
+        failure = NodeFailure(
+            key=node.key,
+            kind=node.kind,
+            error_class=error_class,
+            message=message,
+            traceback_digest=traceback_digest,
+            attempts=attempts,
+        )
+        self.failures[node.key] = failure
+        increment("plan_quarantined")
+        if self._stores(node.key):
+            # ledger-before-release: peers observing the freed claim find
+            # the failure record and adopt it instead of re-attempting
+            self.store.put_failure(node.key, failure)
+        if self.claims is not None:
+            self.claims.release(node.key)
+        self._complete(node, "failed")

@@ -225,13 +225,6 @@ class TestPlanRecovery:
         assert by_source["store"] == completed  # everything else resumed
         assert store.failure_keys() == []  # the ledger emptied on success
 
-    def test_retry_none_restores_raise_on_failure(self):
-        from repro.errors import SolverError
-
-        faults.configure(rate=1.0, kinds=("error",), sites=("solve",), seed=0)
-        with pytest.raises(SolverError):
-            run_scenario(ft_spec(), retry=None)
-
 
 class TestStoreDurability:
     def test_corrupt_point_write_heals_to_a_miss(self, tmp_path):

@@ -306,7 +306,7 @@ class TestMatrixGroupTask:
 
     def test_serial_executor_solves_groups(self):
         task = self._group((0.5, 1.0))
-        ((out_task, results),) = list(SerialExecutor().submit_stream([task]))
+        ((out_task, results),) = list(SerialExecutor().submit_stream_safe([task]))
         assert out_task is task
         assert len(results) == 2
         assert results[0].max_rise < results[1].max_rise
@@ -330,7 +330,7 @@ class TestMatrixGroupTask:
         assert sum(len(t.powers) for t in sub_tasks) == 5
         # streamed results realign with the original member order
         landed = {}
-        for sub, results in executor.submit_stream([task]):
+        for sub, results in executor.submit_stream_safe([task]):
             for i, result in enumerate(results):
                 landed[sub.offset + i] = result.max_rise
         serial = SerialExecutor().run_tasks([task])[0]
@@ -350,7 +350,7 @@ class TestMatrixGroupTask:
 
     def test_serial_executor_never_splits(self):
         task = self._group((0.5, 1.0, 1.5))
-        ((out_task, results),) = list(SerialExecutor().submit_stream([task]))
+        ((out_task, results),) = list(SerialExecutor().submit_stream_safe([task]))
         assert out_task is task and len(results) == 3
 
 

@@ -85,7 +85,7 @@ class TestExecutors:
 
     def test_serial_submit_stream_matches_run_tasks(self, block_stack, block_power):
         tasks = self._tasks(block_stack, block_power)
-        streamed = list(SerialExecutor().submit_stream(tasks))
+        streamed = list(SerialExecutor().submit_stream_safe(tasks))
         batch = SerialExecutor().run_tasks(tasks)
         assert [t.index for t, _ in streamed] == [0, 1, 2, 3]  # in order
         for (_, solved), expected in zip(streamed, batch):
@@ -97,26 +97,12 @@ class TestExecutors:
         tasks = self._tasks(block_stack, block_power)
         streamed = dict(
             (t.index, solved)
-            for t, solved in ParallelExecutor(2).submit_stream(tasks)
+            for t, solved in ParallelExecutor(2).submit_stream_safe(tasks)
         )
         batch = SerialExecutor().run_tasks(tasks)
         assert sorted(streamed) == [0, 1, 2, 3]  # every task lands once
         for i, expected in enumerate(batch):
             assert streamed[i]["model_1d"].max_rise == expected["model_1d"].max_rise
-
-    def test_default_submit_stream_covers_custom_executors(
-        self, block_stack, block_power
-    ):
-        from repro.perf import SweepExecutor
-
-        class BatchOnly(SweepExecutor):
-            def run_tasks(self, tasks):
-                return [solve_task(t) for t in tasks]
-
-        tasks = self._tasks(block_stack, block_power, n=2)
-        streamed = list(BatchOnly().submit_stream(tasks))
-        assert [t.index for t, _ in streamed] == [0, 1]
-        assert all(solved["model_1d"].max_rise > 0 for _, solved in streamed)
 
     def test_parallel_single_task_stays_serial(self, block_stack, block_power):
         # one task never pays pool startup; exercised via the sweep API

@@ -313,7 +313,7 @@ class TestStackedBatchTask:
 
     def test_serial_executor_solves_stacked(self):
         task = self._task()
-        ((out_task, results),) = list(SerialExecutor().submit_stream([task]))
+        ((out_task, results),) = list(SerialExecutor().submit_stream_safe([task]))
         assert out_task is task
         solo = [m.solve(s, v, p) for m, s, v, p in task.members]
         assert [r.max_rise for r in results] == [r.max_rise for r in solo]
@@ -326,7 +326,7 @@ class TestStackedBatchTask:
         assert [t.offset for t in sub_tasks] == [0, 3]
         assert sum(len(t.members) for t in sub_tasks) == 5
         landed = {}
-        for sub, results in executor.submit_stream([task]):
+        for sub, results in executor.submit_stream_safe([task]):
             for i, result in enumerate(results):
                 landed[sub.offset + i] = result.max_rise
         serial = SerialExecutor().run_tasks([task])[0]
@@ -466,27 +466,6 @@ class TestBuiltinByteIdentity:
             )
         assert payloads[0] == payloads[1]
         assert payloads[1] == payloads[2]
-
-
-class TestCLIFlag:
-    def test_parser_accepts_no_stacked_batches(self):
-        from repro.__main__ import build_parser
-
-        args = build_parser().parse_args(["run", "fig4", "--no-stacked-batches"])
-        assert args.no_stacked_batches
-        args = build_parser().parse_args(["run", "fig4"])
-        assert not args.no_stacked_batches
-
-    def test_flag_restores_per_point_dispatch(self):
-        from repro.__main__ import main
-
-        flags = ["--fast", "--fem-resolution", "coarse", "--no-calibrate"]
-        perf.reset()
-        assert main(["run", "fig5", *flags]) == 0
-        assert perf.stats()["counters"]["plan_stacked_batches"] > 0
-        perf.reset()
-        assert main(["run", "fig5", *flags, "--no-stacked-batches"]) == 0
-        assert perf.stats()["counters"].get("plan_stacked_batches", 0) == 0
 
 
 class TestVoxelFrameCache:
