@@ -30,12 +30,16 @@ One soak cycle:
 
 3. the gate asserts:
 
-   * the fleet **completes** and every rank's final incarnation exits 0;
+   * the fleet **completes**, every rank's final incarnation exits 0,
+     and every kill was answered by a respawn (``respawns >= kills``);
    * the chaos store is **byte-identical** to the clean baseline — every
      assembled run payload (modulo wall-clock ``runtimes_ms``) and every
      point artifact (modulo ``solve_time``);
    * **zero double-solves**: no node key appears twice in the union of
      solve ledgers — the lease fencing held under every kill;
+   * **no phantom commits**: every key in the union of solve ledgers is
+     a stored point — a fenced commit that never became a file (a
+     ledger entry written ahead of its group commit) fails the soak;
    * ``repro fsck`` finds **no damage** in the surviving store (notes
      such as tmp litter from killed writers are expected and allowed).
 
@@ -213,8 +217,11 @@ def soak(args: argparse.Namespace, work: Path) -> list[str]:
         problems.append("fleet hit the soak deadline")
     if any(code != 0 for code in outcome.exit_codes):
         problems.append(f"non-zero final exit codes: {outcome.exit_codes}")
-    if killer.killed and not outcome.respawns:
-        problems.append("workers were killed but no respawn was recorded")
+    if len(outcome.respawns) < len(killer.killed):
+        problems.append(
+            f"{len(killer.killed)} kills but only "
+            f"{len(outcome.respawns)} respawns recorded"
+        )
 
     # ---- gate: byte-identity with the clean baseline ----------------
     chaos = RunStore(chaos_root)
@@ -265,10 +272,16 @@ def soak(args: argparse.Namespace, work: Path) -> list[str]:
             f"{len(doubles)} keys committed twice (fencing broken): "
             f"{doubles[:3]}"
         )
+    phantoms = sorted(set(committed) - set(chaos_points))
+    if phantoms:
+        problems.append(
+            f"{len(phantoms)} ledgered commits are not stored points: "
+            f"{phantoms[:3]}"
+        )
     print(
         f"[soak] solve ledger: {len(committed)} fenced commits across "
         f"{len(list(ledger_dir.glob('*.solves')))} worker incarnations, "
-        f"{len(doubles)} doubles"
+        f"{len(doubles)} doubles, {len(phantoms)} phantoms"
     )
 
     # ---- gate: fsck finds no damage ---------------------------------
@@ -340,7 +353,10 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"[soak]   - {problem}")
         return 1
-    print("[soak] PASSED: completion, byte-identity, zero double-solves, fsck clean")
+    print(
+        "[soak] PASSED: completion, byte-identity, zero double-solves, "
+        "no phantom commits, fsck clean"
+    )
     return 0
 
 

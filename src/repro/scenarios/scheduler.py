@@ -30,12 +30,21 @@ phases, one method each on the private scheduler object:
   stolen;
 * **dispatch** — the units' tasks stream over the executor's
   capture-mode :meth:`~repro.perf.SweepExecutor.submit_stream_safe`;
-* **land/commit** — each solved node is cached, written into the point
-  space (``points/<key>.json``) so a killed batch resumes from its
-  solved points, and unlocks its dependents.  Under claims every commit
-  is fenced — ``put_point``-before-release, with a
-  :class:`~repro.errors.LeaseLostError` check that keeps a usurped
-  worker from publishing over its successor;
+* **land** — each solved node is cached and buffered for commit;
+* **commit** — the buffer is flushed as one group commit
+  (:meth:`~repro.scenarios.store.RunStore.batch`) into the point space
+  (``points/<key>.json``), so a killed batch resumes from its solved
+  points; only then does each node, in landing order, leave the graph
+  and unlock its dependents.  The buffer flushes once it holds
+  :data:`COMMIT_MAX_POINTS` points (which also bounds the open tmp
+  files), once its oldest point has waited :data:`COMMIT_MAX_AGE_S`
+  (checked at each completion), as soon as a buffered node has a
+  calibration or case-study dependent (so those still run between
+  completions), at the end of every dispatch stream, and before a drain
+  releases this worker's leases.  Under claims every commit is fenced —
+  ``put_point``-before-release, with a
+  :class:`~repro.errors.LeaseLostError` check *at commit time* that
+  keeps a usurped worker from publishing over its successor;
 * **fail** — failures are *results*, not exceptions that unwind the
   scheduler: a failed multi-node task degrades to per-member solo
   dispatch, solo failures retry under the
@@ -70,6 +79,7 @@ the blame ledger) and ``plan_poison_quarantined`` (see the store's
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -134,11 +144,18 @@ from .store import RunStore
 #: (multi-RHS matrix group) or ``"stacked"`` (cross-matrix stacked batch)
 ProgressFn = Callable[[dict[str, Any]], None]
 
+#: the landed-point buffer flushes once it holds this many points; every
+#: buffered point holds one open tmp file until its group commit
+COMMIT_MAX_POINTS = 512
+#: ... or once its oldest point has waited this long (seconds), so fleet
+#: peers waiting on a result and a killed worker lose little
+COMMIT_MAX_AGE_S = 0.25
+
 #: audit hook for the chaos harness: when this names a directory, every
 #: *fresh* point commit (a solve landed under this process's own lease —
 #: not cache republishes, not store read-backs) appends its node key to
-#: ``<dir>/<pid>.solves``.  The append happens after ``put_point``
-#: succeeds and before the lease is released, so a kill at any instant
+#: ``<dir>/<pid>.solves``.  The append happens after the point's group
+#: commit and before the lease is released, so a kill at any instant
 #: can only under-record, never attribute a commit that did not happen —
 #: which is what lets ``scripts/chaos_soak.py`` assert *zero
 #: double-solves*: the lease fencing guarantees at most one committed
@@ -218,7 +235,7 @@ def execute_plan(
 
     ``drain`` is a :class:`~repro.scenarios.drain.DrainGuard`: when a
     shutdown signal has been observed, the scheduler stops at its next
-    safe point — after the in-flight completion has been committed —
+    safe point — after every landed point has been committed —
     releases every held lease, and raises
     :class:`~repro.errors.DrainError`.  Landed points stay in the store,
     so ``resume=True`` continues exactly where the drain stopped.
@@ -243,6 +260,14 @@ class _Entry(NamedTuple):
     node: Any
     model: Any
     cache_key: str | None
+
+
+class _Landed(NamedTuple):
+    """A solved node waiting in the commit buffer."""
+
+    entry: _Entry
+    result: Any
+    dispatch: str
 
 
 class _Unit(NamedTuple):
@@ -351,8 +376,8 @@ def _point_buckets(entries: list[_Entry]) -> list[list[_Entry]]:
 class _Scheduler:
     """One execution of one plan: :meth:`run` drives the waves through
     the phases (:meth:`_resolve`, :meth:`_group`, :meth:`_claim`,
-    :meth:`_dispatch`, :meth:`_land`, :meth:`_fail`); :meth:`_complete`
-    is every node's single exit from the graph."""
+    :meth:`_dispatch`, :meth:`_land`, :meth:`_commit`, :meth:`_fail`);
+    :meth:`_complete` is every node's single exit from the graph."""
 
     plan: ExecutionPlan
     executor: SweepExecutor
@@ -383,6 +408,11 @@ class _Scheduler:
         self.units: dict[str, list[_Unit]] = {}
         self.wall_start = time.time()  # gates peer-failure adoption
         self.last_renew = time.monotonic()
+        #: solved nodes awaiting their group commit, in landing order
+        self.landed: list[_Landed] = []
+        self.landed_since = 0.0  # monotonic time the oldest one landed
+        #: a landed node feeds a calibration or case-study node
+        self.commit_now = False
 
         self.ready: list[Any] = []  # dispatch nodes
         self.ready_parent: deque[CalibrationNode | CaseStudyNode] = deque()
@@ -793,6 +823,7 @@ class _Scheduler:
         pick the nodes up immediately instead of waiting out the TTL.
         """
         if self.drain is not None and self.drain.requested is not None:
+            self._commit()
             if self.claims is not None:
                 self.claims.release_all()
             raise DrainError(self.drain.requested)
@@ -855,53 +886,89 @@ class _Scheduler:
             tasks, timeout_s=self.retry.node_timeout_s
         )
         for task, solved in stream:
-            # drain between completions: the finished result has been
-            # committed by _land(); anything still in flight is abandoned
+            # drain between completions: everything landed so far is
+            # committed first; anything still in flight is abandoned
             # (its lease is released, a peer or a resume re-solves it)
             self._check_drain()
             self._maybe_renew()
             if isinstance(solved, TaskFailure):
                 self._fail(task, solved)
-                continue
-            members = self._task_members(task)
-            shape = _TASK_SHAPE[type(task)]
-            if shape == "point":
-                solved = [solved[e.node.model_name] for e in members]
-            for entry, result in zip(members, solved):
-                self._land(entry, result, shape)
-            # calibrations whose samples just landed run immediately,
+            else:
+                members = self._task_members(task)
+                shape = _TASK_SHAPE[type(task)]
+                if shape == "point":
+                    solved = [solved[e.node.model_name] for e in members]
+                for entry, result in zip(members, solved):
+                    self._land(entry, result, shape)
+            if self.commit_now or (
+                self.landed
+                and time.monotonic() - self.landed_since >= COMMIT_MAX_AGE_S
+            ):
+                self._commit()
+            # calibrations whose samples just committed run immediately,
             # unlocking their calibrated solves for the next wave
             self._run_parent_nodes()
+        self._commit()
 
     def _land(self, entry: _Entry, result: Any, dispatch: str) -> None:
+        """Cache a solved node and buffer it for the next group commit."""
         node = entry.node
         increment("plan_point_solves")
         if isinstance(node, (TransientNode, NonlinearNode)):
             increment(f"plan_{node.kind}_solves")
         if entry.cache_key is not None:
             result_cache.put(entry.cache_key, result)
-        if self._stores(node.key):
-            if self.claims is not None:
-                try:
-                    # the zombie write guard: commit only while the
-                    # lease is provably still ours (put-before-release)
-                    self.claims.check(node.key)
-                except LeaseLostError:
-                    # usurped mid-solve — the usurper publishes; our
-                    # byte-identical result still satisfies this
-                    # worker's own plan locally
-                    self._finish(node, result, "solved", dispatch)
-                    return
-            self.store.put_point(node.key, result.to_payload())
-            _record_solve(node.key)
-            if node.key in self.blame:
-                # it finally solved cleanly: absolve it so a lingering
-                # blame count cannot poison-quarantine future runs
-                self.store.clear_blame(node.key)
-                self.blame.pop(node.key, None)
-            if self.claims is not None:
-                self.claims.release(node.key)
-        self._finish(node, result, "solved", dispatch)
+        if not self.landed:
+            self.landed_since = time.monotonic()
+        self.landed.append(_Landed(entry, result, dispatch))
+        self.commit_now = self.commit_now or any(
+            not isinstance(self.nodes[k], DISPATCH_NODE_TYPES)
+            for k in self.dependents[node.key]
+        )
+        if len(self.landed) >= COMMIT_MAX_POINTS:
+            self._commit()
+
+    def _commit(self) -> None:
+        """Flush the landed buffer: stage every point in one store batch,
+        then — with every point renamed onto its name — record, absolve,
+        release and finish each node in landing order."""
+        if not self.landed:
+            return
+        landed, self.landed, self.commit_now = self.landed, [], False
+        store = self.store
+        with store.batch() if store is not None else contextlib.nullcontext():
+            published = [self._publish(item) for item in landed]
+        for (entry, result, dispatch), ok in zip(landed, published):
+            key = entry.node.key
+            if ok:
+                _record_solve(key)
+                if key in self.blame:
+                    # it finally solved cleanly: absolve it so a lingering
+                    # blame count cannot poison-quarantine future runs
+                    self.store.clear_blame(key)
+                    self.blame.pop(key, None)
+                if self.claims is not None:
+                    self.claims.release(key)
+            self._finish(entry.node, result, "solved", dispatch)
+
+    def _publish(self, item: _Landed) -> bool:
+        """Stage ``item``'s point into the open batch; False when it is
+        not this worker's to publish."""
+        key = item.entry.node.key
+        if not self._stores(key):
+            return False
+        if self.claims is not None:
+            try:
+                # the zombie write guard: commit only while the lease is
+                # provably still ours (put-before-release)
+                self.claims.check(key)
+            except LeaseLostError:
+                # usurped since the claim — the usurper publishes; our
+                # byte-identical result still satisfies this worker's
+                # own plan locally
+                return False
+        self.store.put_point(key, item.result.to_payload())
+        return True
 
     def _fail(self, task: SweepTask, failure: TaskFailure) -> None:
         members = self._task_members(task)

@@ -31,6 +31,16 @@ a point whose rename is lost in a crash reads as a miss and re-solves
 deterministically to the same bytes.  A corrupt or unreadable object is
 treated as a miss (and healed out of the manifest) rather than an error.
 
+Points can also be committed as a group: inside ``with store.batch():``
+each :meth:`RunStore.put_point` only stages its tmp file, and the block's
+exit fsyncs every staged file before renaming any of them onto its name
+— the same tmp → fsync → rename sequence per point, but one pass of
+fsyncs per group instead of one interleaved with every rename, which is
+what the scheduler's per-wave commit uses.  A kill at any instant leaves
+each point either at its final name with its full payload or absent
+(plus ``*.tmp`` litter that ``fsck`` reports and ``--repair`` removes);
+an exception inside the block discards the staged files.
+
 Every ``objects/``, ``points/``, ``failures/`` and ``blame/`` payload is
 written inside an **integrity envelope**: a one-line JSON header carrying
 a blake2b checksum of the body, followed by the body document itself ::
@@ -85,13 +95,15 @@ legacy store over wholesale.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import time
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .. import faults
 from ..errors import CorruptArtifactError, ValidationError
@@ -193,6 +205,98 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
+#: a tmp file is created fresh (or truncated) and only ever written
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+class _Staged(NamedTuple):
+    """A fully written, not yet fsynced tmp file and the name it commits to."""
+
+    fd: int
+    tmp: Path
+    path: Path
+
+
+def _encode(
+    payload: Any, fault_key: str | None = None, *, envelope: bool = False
+) -> bytes:
+    """The bytes an artifact is stored as.
+
+    ``fault_key`` routes the write through the ``store-write``
+    fault-injection site (delay or payload corruption) when the
+    :mod:`repro.faults` registry is armed; ``envelope=True`` wraps the
+    payload in the integrity envelope (injected corruption is applied to
+    the *enveloped* text, so a truncated write always fails its own
+    checksum).
+    """
+    text = render_artifact(payload, envelope=envelope)
+    if fault_key is not None and faults.active():
+        faults.inject("store-write", fault_key)
+        text = faults.corrupt_text("store-write", fault_key, text)
+    return text.encode()
+
+
+def _stage(path: Path, data: bytes) -> _Staged:
+    """Write ``data`` to a fresh tmp file beside ``path``, left open.
+
+    The tmp name is unique per writer: cooperating fleet workers write
+    the same (deterministic) artifacts concurrently, and a shared tmp
+    name would let one worker rename another's half-written file away.
+    A missing directory (a new shard, or one removed since) is made on
+    demand, so the common write costs no ``mkdir``.
+    """
+    tmp = path.with_suffix(f".{os.getpid()}.{time.monotonic_ns():x}.tmp")
+    try:
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(exist_ok=True)
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    except BaseException:
+        os.close(fd)
+        tmp.unlink(missing_ok=True)
+        raise
+    return _Staged(fd, tmp, path)
+
+
+def _discard(staged: list[_Staged], *, close: bool) -> None:
+    """Best-effort removal of tmp files that will never be renamed."""
+    for item in staged:
+        if close:
+            os.close(item.fd)
+        with contextlib.suppress(OSError):
+            item.tmp.unlink(missing_ok=True)
+
+
+def _commit_staged(staged: list[_Staged]) -> None:
+    """fsync every staged tmp file, then rename each onto its name.
+
+    The fsync-before-rename matters: without it a machine crash shortly
+    after the rename can surface the *new name with old (empty) contents*
+    on some filesystems — exactly the truncated-artifact shape the
+    readers heal, but better never to write it.  Every fsync precedes
+    every rename, so a group pays one pass of journal commits rather than
+    one per file.  Whatever is not renamed when this raises is unlinked.
+    """
+    renamed = 0
+    try:
+        try:
+            for item in staged:
+                os.fsync(item.fd)
+        finally:
+            for item in staged:
+                os.close(item.fd)
+        for item in staged:
+            os.replace(item.tmp, item.path)
+            renamed += 1
+    except BaseException:
+        _discard(staged[renamed:], close=False)
+        raise
+
+
 def _write_json_atomic(
     path: Path,
     payload: Any,
@@ -203,31 +307,12 @@ def _write_json_atomic(
 ) -> None:
     """Write JSON atomically: serialise, fsync the tmp file, then rename.
 
-    The fsync-before-rename matters: without it a machine crash shortly
-    after the rename can surface the *new name with old (empty) contents*
-    on some filesystems — exactly the truncated-artifact shape the
-    readers heal, but better never to write it.  The rename itself is
-    only durable once the parent directory is fsynced too, which
-    ``sync_dir=True`` does (the system-of-record writes).  ``fault_key`` routes the
-    write through the ``store-write`` fault-injection site (delay or
-    payload corruption) when the :mod:`repro.faults` registry is armed;
-    ``envelope=True`` wraps the payload in the integrity envelope
-    (injected corruption is applied to the *enveloped* text, so a
-    truncated write always fails its own checksum).
+    The rename itself is only durable once the parent directory is
+    fsynced too, which ``sync_dir=True`` does (the system-of-record
+    writes).  ``fault_key`` and ``envelope`` are :func:`_encode`'s.
     """
-    text = render_artifact(payload, envelope=envelope)
-    if fault_key is not None and faults.active():
-        faults.inject("store-write", fault_key)
-        text = faults.corrupt_text("store-write", fault_key, text)
-    # the tmp name is unique per writer: cooperating fleet workers write
-    # the same (deterministic) artifacts concurrently, and a shared tmp
-    # name would let one worker rename another's half-written file away
-    tmp = path.with_suffix(f".{os.getpid()}.{time.monotonic_ns():x}.tmp")
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
+    data = _encode(payload, fault_key, envelope=envelope)
+    _commit_staged([_stage(path, data)])
     if sync_dir:
         _fsync_dir(path.parent)
 
@@ -254,6 +339,12 @@ class RunStore:
         # tracks "might any failure record exist?" so the per-point clear
         # on the happy path costs a boolean, not an unlink syscall
         self._has_failures = any(self._space_paths(self.failures))
+        #: spaces that may hold legacy flat artifacts — only these pay a
+        #: flat-twin unlink per write (a read falling back adds its space)
+        spaces = (self.objects, self.points, self.failures, self.blame)
+        self._flat_spaces = {s for s in spaces if any(s.glob("*.json"))}
+        #: the open :meth:`batch`'s staged point writes (None: no batch)
+        self._staged: list[_Staged] | None = None
         self._manifest_path = self.root / MANIFEST_NAME
         self._manifest = self._load_manifest()
 
@@ -283,25 +374,29 @@ class RunStore:
     def _flat_path(space: Path, key: str, suffix: str = ".json") -> Path:
         return space / f"{key}{suffix}"
 
-    @classmethod
-    def _read_path(cls, space: Path, key: str) -> Path | None:
+    def _read_path(self, space: Path, key: str) -> Path | None:
         """The existing artifact for ``key``, sharded layout preferred."""
-        path = cls._sharded_path(space, key)
+        path = self._sharded_path(space, key)
         if path.exists():
             return path
-        legacy = cls._flat_path(space, key)
+        legacy = self._flat_path(space, key)
         if legacy.exists():
+            self._flat_spaces.add(space)
             return legacy
         return None
 
-    @classmethod
-    def _write_path(cls, space: Path, key: str) -> Path:
+    def _write_path(self, space: Path, key: str) -> Path:
         """The (sharded) path a fresh artifact for ``key`` lands at."""
-        path = cls._sharded_path(space, key)
-        path.parent.mkdir(exist_ok=True)
-        # a rewrite must not leave a stale flat twin shadow-readable
-        cls._flat_path(space, key).unlink(missing_ok=True)
-        return path
+        if space in self._flat_spaces:
+            # a rewrite must not leave a stale flat twin shadow-readable
+            self._flat_path(space, key).unlink(missing_ok=True)
+        return self._sharded_path(space, key)
+
+    def _unlink(self, space: Path, key: str) -> None:
+        """Remove ``key``'s artifact from ``space`` (both layouts)."""
+        self._sharded_path(space, key).unlink(missing_ok=True)
+        if space in self._flat_spaces:
+            self._flat_path(space, key).unlink(missing_ok=True)
 
     @staticmethod
     def _space_paths(space: Path, suffix: str = ".json") -> list[Path]:
@@ -331,6 +426,7 @@ class RunStore:
                 path.replace(target)
                 count += 1
             moved[name] = count
+            self._flat_spaces.discard(space)
         if moved["objects"]:
             for key, entry in self._manifest["runs"].items():
                 path = self._sharded_path(self.objects, key)
@@ -439,17 +535,43 @@ class RunStore:
         """Persist one plan node's payload (atomically; never raises on
         unserialisable payload metadata — the point is just not resumable).
 
-        Not durable against a machine crash: no directory fsync, so a lost
-        rename reads back as a miss and the node re-solves."""
-        path = self._write_path(self.points, key)
+        Inside :meth:`batch` the point is staged and lands when the block
+        exits.  Not durable against a machine crash: no directory fsync,
+        so a lost rename reads back as a miss and the node re-solves."""
         try:
-            _write_json_atomic(
-                path, payload, fault_key=f"point:{key}", envelope=True
-            )
+            data = _encode(payload, f"point:{key}", envelope=True)
         except (TypeError, ValueError):
             increment("point_store_skipped")
             return None
+        path = self._write_path(self.points, key)
+        staged = _stage(path, data)
+        if self._staged is None:
+            _commit_staged([staged])
+        else:
+            self._staged.append(staged)
         return path
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group-commit every :meth:`put_point` made inside the block.
+
+        Each point is written to its tmp file as it is put; a normal exit
+        fsyncs all of them, then renames each onto its name (see the
+        module docstring for the crash guarantees).  An exception inside
+        the block discards the staged files: none of its points land.
+        """
+        if self._staged is not None:
+            raise RuntimeError("RunStore.batch() blocks do not nest")
+        staged: list[_Staged] = []
+        self._staged = staged
+        try:
+            yield
+        except BaseException:
+            _discard(staged, close=True)
+            raise
+        finally:
+            self._staged = None
+        _commit_staged(staged)
 
     def heal_point(self, key: str) -> None:
         """Drop a stored point whose payload turned out to be unusable.
@@ -458,8 +580,7 @@ class RunStore:
         hook for payloads that parse but decode to the wrong shape —
         the scheduler deletes them so the node re-solves cleanly.
         """
-        self._sharded_path(self.points, key).unlink(missing_ok=True)
-        self._flat_path(self.points, key).unlink(missing_ok=True)
+        self._unlink(self.points, key)
 
     def point_keys(self) -> list[str]:
         """Keys of every stored point object (both layouts)."""
@@ -506,8 +627,7 @@ class RunStore:
     def clear_failure(self, key: str) -> None:
         """Erase ``key``'s quarantine record (a later solve succeeded)."""
         if self._has_failures:
-            self._sharded_path(self.failures, key).unlink(missing_ok=True)
-            self._flat_path(self.failures, key).unlink(missing_ok=True)
+            self._unlink(self.failures, key)
 
     def failure_keys(self) -> list[str]:
         """Keys of every quarantined node, sorted."""
@@ -554,8 +674,7 @@ class RunStore:
 
     def clear_blame(self, key: str) -> None:
         """Erase ``key``'s blame record (it finally solved cleanly)."""
-        self._sharded_path(self.blame, key).unlink(missing_ok=True)
-        self._flat_path(self.blame, key).unlink(missing_ok=True)
+        self._unlink(self.blame, key)
 
     # ------------------------------------------------------------------
     # introspection

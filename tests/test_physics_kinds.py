@@ -625,21 +625,28 @@ class TestStoreAndResume:
         class Killed(RuntimeError):
             pass
 
+        reported = []
+
         def kill_after_two(event):
+            reported.append(event["key"])
             if event["done"] == 2:
                 raise Killed()
 
         perf.reset()
         with pytest.raises(Killed):
             run_batch([spec], store=store, progress=kill_after_two)
-        assert len(store.point_keys()) == 2
+        # a node is reported only once its point is stored; points of the
+        # same group commit may land ahead of their report
+        stored = store.point_keys()
+        assert set(reported) <= set(stored)
         assert len(store) == 0  # no run-level artifact landed
 
         perf.reset()
         run = run_batch([spec], store=store, resume=True).runs[0]
         counters = perf.stats()["counters"]
-        assert counters["point_store_hits"] == 2
-        assert counters["plan_point_solves"] == 1  # only the third trajectory
+        assert counters["point_store_hits"] == len(stored)
+        # only the trajectories the kill kept from the store re-solve
+        assert counters.get("plan_point_solves", 0) == 3 - len(stored)
         # the resumed payload is byte-identical to an uninterrupted run
         direct = run_transient_spec_direct(spec.resolved())
         assert run.result.to_payload() == direct.to_payload()

@@ -8,12 +8,13 @@ under "me".  Every claimed run must produce the results of a claim-free
 run, and plan-graph mistakes must raise before anything is solved.
 """
 
+import signal
 import time
 
 import pytest
 
 from repro import perf
-from repro.errors import ExperimentError
+from repro.errors import DrainError, ExperimentError
 from repro.perf import NodeFailure, SerialExecutor, counter
 from repro.scenarios import (
     AxisSpec,
@@ -23,6 +24,7 @@ from repro.scenarios import (
     execute_plan,
 )
 from repro.scenarios import scheduler
+from repro.scenarios.drain import DrainGuard
 from repro.scenarios.lease import LeaseManager
 from repro.scenarios.plan import CalibrationNode, ExecutionPlan
 
@@ -181,6 +183,135 @@ class TestLeaseLost:
         assert store.point_keys() == []
         assert counter("lease_lost") >= len(plan.nodes)
         assert set(peer.held) == set(plan.nodes)
+
+
+class PeerStealsAfterLanding(SerialExecutor):
+    """Yields every solve, then — with all of them landed in the
+    scheduler's commit buffer — lets ``peer`` steal every claim ``mine``
+    holds before the end-of-stream commit."""
+
+    def __init__(self, mine, peer):
+        self.mine = mine
+        self.peer = peer
+
+    def submit_stream_safe(self, tasks, *, timeout_s=None):
+        yield from super().submit_stream_safe(tasks, timeout_s=timeout_s)
+        time.sleep(self.mine.ttl_s * 1.5)  # our claims expire
+        for key in list(self.mine.held):
+            assert self.peer.acquire(key)
+
+
+class DrainsAfterFirstCompletion(SerialExecutor):
+    """Requests a drain once the first completion has landed."""
+
+    def __init__(self, guard):
+        self.guard = guard
+
+    def submit_stream_safe(self, tasks, *, timeout_s=None):
+        for task, solved in super().submit_stream_safe(
+            tasks, timeout_s=timeout_s
+        ):
+            yield task, solved
+            self.guard._signum = signal.SIGTERM  # as if the handler fired
+
+
+@pytest.fixture
+def commit_at_stream_end(monkeypatch):
+    """Only the structural triggers flush the commit buffer."""
+    monkeypatch.setattr(scheduler, "COMMIT_MAX_AGE_S", 3600.0)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Every ``put_point`` and lease ``release``, in call order."""
+    log = []
+    put_point, release = RunStore.put_point, LeaseManager.release
+
+    def spy_put(self, key, payload):
+        log.append(("put", key))
+        return put_point(self, key, payload)
+
+    def spy_release(self, key):
+        log.append(("release", key))
+        return release(self, key)
+
+    monkeypatch.setattr(RunStore, "put_point", spy_put)
+    monkeypatch.setattr(LeaseManager, "release", spy_release)
+    return log
+
+
+class TestBufferedCommit:
+    def test_lease_lost_while_buffered_finishes_locally_unpublished(
+        self, reference, store, tmp_path, monkeypatch, commit_at_stream_end,
+        calls,
+    ):
+        plan, expected = reference
+        ledger = tmp_path / "ledger"
+        ledger.mkdir()
+        monkeypatch.setenv(scheduler.SOLVE_LEDGER_ENV, str(ledger))
+        # long enough for the stream's renewals to keep every claim alive
+        me = LeaseManager(store, owner="me", ttl_s=0.5)
+        peer = LeaseManager(store, owner="peer", ttl_s=30.0)
+        outcome = run_claimed(
+            plan, store, me, executor=PeerStealsAfterLanding(me, peer)
+        )
+        assert not outcome.failures
+        assert payloads(outcome.results) == expected
+        assert outcome.counts["solved"] == len(plan.nodes)
+        # the commit-time fence caught every buffered node
+        assert [op for op, _ in calls if op == "put"] == []
+        assert store.point_keys() == []
+        assert not any(f.read_text() for f in ledger.glob("*.solves"))
+        assert set(peer.held) == set(plan.nodes)
+
+    def test_drain_commits_the_buffer_before_releasing_leases(
+        self, reference, store, commit_at_stream_end, calls
+    ):
+        plan, _ = reference
+        guard = DrainGuard()
+        me = LeaseManager(store, owner="me", ttl_s=30.0)
+        with pytest.raises(DrainError):
+            run_claimed(
+                plan, store, me, executor=DrainsAfterFirstCompletion(guard),
+                drain=guard,
+            )
+        puts = [i for i, (op, _) in enumerate(calls) if op == "put"]
+        releases = [i for i, (op, _) in enumerate(calls) if op == "release"]
+        assert puts and releases
+        assert max(puts) < min(releases)
+        # the first completion's nodes are stored, nothing else landed
+        stored = {key for op, key in calls if op == "put"}
+        assert set(store.point_keys()) == stored
+        assert stored < set(plan.nodes)
+        assert me.held == {}
+        assert not list(store.leases.glob("**/*.claim"))
+
+    def test_calibration_sample_commits_and_runs_between_completions(
+        self, store, commit_at_stream_end
+    ):
+        plan = claims_plan(calibrate=True)
+        (calibration,) = [
+            k for k, n in plan.nodes.items() if isinstance(n, CalibrationNode)
+        ]
+        samples = set(plan.nodes[calibration].deps)
+        events = []
+
+        def record(event):
+            if event["key"] == calibration:
+                # its samples were committed before it ran
+                assert all(store.get_point(k) is not None for k in samples)
+            events.append(event)
+
+        perf.reset()
+        execute_plan(plan, store=store, progress=record)
+        order = [e["key"] for e in events]
+        at = order.index(calibration)
+        assert set(order[:at]) == samples
+        # the first wave's other solves completed after the calibration ran
+        first_wave = {
+            k for k, n in plan.nodes.items() if not n.deps
+        } - samples
+        assert first_wave and first_wave <= set(order[at + 1 :])
 
 
 class TestDependencyCascade:
