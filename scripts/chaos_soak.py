@@ -92,6 +92,23 @@ def normalized_point(payload: dict) -> dict:
     return payload
 
 
+def _signalled(pid: int) -> bool:
+    """Wait for worker ``pid`` to exit, without reaping it, and tell
+    whether a signal ended it.
+
+    A worker that has already exited (a zombie still answers signal 0;
+    a respawned worker whose peers finished the batch exits at once,
+    without a progress beat) or is inside its exit ignores the SIGKILL
+    and keeps its own exit code, so the supervisor rightly respawns
+    nothing: that SIGKILL is not a kill.
+    """
+    try:
+        info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    except ChildProcessError:  # reaped already, or not this process's child
+        return True
+    return info.si_code in (os.CLD_KILLED, os.CLD_DUMPED)
+
+
 class Killer(threading.Thread):
     """Seeded SIGKILLs against live fleet workers, via their heartbeats."""
 
@@ -105,6 +122,8 @@ class Killer(threading.Thread):
         self.rng = random.Random(seed)
         self.stop = threading.Event()
         self.killed: list[int] = []
+        #: pids the SIGKILL reached only after they had begun to exit
+        self.missed: list[int] = []
 
     def _live_pids(self) -> list[int]:
         pids = []
@@ -141,7 +160,10 @@ class Killer(threading.Thread):
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 continue
-            self.killed.append(pid)
+            if _signalled(pid):
+                self.killed.append(pid)
+            else:
+                self.missed.append(pid)
 
 
 def soak(args: argparse.Namespace, work: Path) -> list[str]:
@@ -203,6 +225,8 @@ def soak(args: argparse.Namespace, work: Path) -> list[str]:
         f"{outcome.exit_codes} kills={len(killer.killed)} "
         f"respawns={len(outcome.respawns)}"
     )
+    for pid in killer.missed:
+        print(f"[soak]   SIGKILL reached pid {pid} after its exit: not a kill")
     for event in outcome.respawns:
         print(
             f"[soak]   respawned rank {event['rank']} "

@@ -725,7 +725,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         stall_timeout_s=args.stall,
         deadline_s=args.deadline,
     )
+    total = outcome.counters.get("plan_point_solves", 0)
     by_rank = {report.rank: report for report in outcome.reports}
+    max_share = 0.0
     for rank, code in enumerate(outcome.exit_codes):
         report = by_rank.get(rank)
         if report is None:
@@ -733,7 +735,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             continue
         solves = report.counters.get("plan_point_solves", 0)
         steals = report.counters.get("lease_steals", 0)
-        detail = f"{solves} node(s) solved"
+        conflicts = report.counters.get("lease_conflicts", 0)
+        share = solves / total if total else 0.0
+        max_share = max(max_share, share)
+        per_solve = f"{conflicts / solves:.2f}" if solves else "n/a"
+        detail = (
+            f"{solves} node(s) solved, share={share:.2f}, "
+            f"conflicts/solve={per_solve}"
+        )
         if steals:
             detail += f", {steals} claim(s) stolen from dead peers"
         if report.drained is not None:
@@ -753,11 +762,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             "exceeded; workers terminated",
             file=sys.stderr,
         )
-    total = outcome.counters.get("plan_point_solves", 0)
+    state = "complete" if outcome.complete else "INCOMPLETE"
     print(
-        f"\nfleet of {args.workers}: {total} node(s) solved exactly once; "
-        f"store {'complete' if outcome.complete else 'INCOMPLETE'} at "
-        f"{outcome.store_root}"
+        f"\nfleet of {args.workers}: {total} node(s) solved exactly once, "
+        f"max share={max_share:.2f}; store {state} at {outcome.store_root}"
     )
     if not outcome.complete:
         print(

@@ -1151,6 +1151,26 @@ def compare(
     return regressions, comparisons
 
 
+def cpu_mismatch(
+    current: dict[str, Any], previous: dict[str, Any]
+) -> str | None:
+    """Why ``previous`` cannot be this run's baseline, or None.
+
+    Best-of-N times only compare on the machine that recorded them: a
+    baseline from a machine with another CPU count flags healthy entries
+    (or hides real regressions), so the gate refuses the comparison and
+    names the fix instead of listing per-entry ratios.
+    """
+    theirs = previous.get("machine", {}).get("cpu_count")
+    ours = current.get("machine", {}).get("cpu_count")
+    if theirs == ours:
+        return None
+    return (
+        f"baseline from a {theirs if theirs is not None else 'unknown'}-CPU "
+        f"machine, this one has {ours}; regenerate the baseline here"
+    )
+
+
 def render_speedup_table(
     payload: dict[str, Any], comparisons: list[dict[str, Any]] | None = None
 ) -> str:
@@ -1285,8 +1305,16 @@ def main(argv: list[str] | None = None) -> int:
         # is about to overwrite it; in --no-write (CI) mode it IS the baseline
         skip_name = "" if args.no_write else name
         previous_path = args.baseline or find_previous(args.output_dir, skip_name)
-        if previous_path and previous_path.exists():
-            previous = json.loads(previous_path.read_text())
+        previous = (
+            json.loads(previous_path.read_text())
+            if previous_path and previous_path.exists()
+            else None
+        )
+        mismatch = previous is not None and cpu_mismatch(payload, previous)
+        if mismatch:
+            print(f"\n{previous_path}: {mismatch}")
+            exit_code = 1
+        elif previous is not None:
             regressions, comparisons = compare(
                 payload,
                 previous,

@@ -10,11 +10,16 @@ its own if the holder dies.
 
 Protocol (plain POSIX filesystem operations, no daemon, no sidecar):
 
-* **Claim** — the worker writes the claim payload to a unique temp file
-  and hard-links it to ``leases/<xx>/<key>.claim``.  ``link(2)`` fails
-  with ``EEXIST`` when the name is taken, so exactly one worker wins,
-  and the claim file is always complete (the link publishes fully
-  written bytes).
+* **Claim** — the worker first *peeks*: a live claim already under
+  ``leases/<xx>/<key>.claim`` is a conflict, returned after that one
+  read with nothing written (no temp file, no ``link``, no ``unlink``),
+  so losing a claim costs one read.  Otherwise the worker writes the
+  claim payload to a unique temp file and hard-links it to the claim
+  name.  ``link(2)`` fails with ``EEXIST`` when the name is taken, so it
+  stays the only arbiter: exactly one worker wins even when several
+  peeked a free name at once, and the claim file is always complete
+  (the link publishes fully written bytes).  The peek only makes the
+  losing path cheaper.
 * **Fencing token** — ``time.monotonic_ns()`` at claim time.  It is
   strictly increasing across every process on the machine, so any later
   claimant of the same key holds a strictly larger token and a zombie's
@@ -174,6 +179,16 @@ class LeaseManager:
         except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
             return None
 
+    def live(self, key: str) -> bool:
+        """True when ``key`` carries an unexpired claim, whoever holds it.
+
+        One read: what :meth:`acquire` checks before writing anything,
+        and what an idle worker checks before polling the store for a
+        peer's result.
+        """
+        current = self.peek(key)
+        return current is not None and not current.expired
+
     def _write_unique(self, key: str, lease: Lease, tag: str) -> Path:
         path = self._unique_path(key, tag)
         path.parent.mkdir(exist_ok=True)
@@ -186,10 +201,11 @@ class LeaseManager:
     def acquire(self, key: str) -> bool:
         """Try to claim ``key``; True on success.
 
-        A live foreign claim is a conflict (False); a stale or corrupt
-        claim is stolen via the rename-tombstone dance and re-claimed.
-        Losing any race simply returns False — the caller's dispatch
-        loop moves on and revisits the node later.
+        A live foreign claim is a conflict (False), detected by a peek
+        before anything is written; a stale or corrupt claim is stolen
+        via the rename-tombstone dance and re-claimed.  Losing any race
+        simply returns False — the caller's dispatch loop moves on and
+        revisits the node later.
         """
         if key in self.held:
             # re-entrant: a retry or a later wave claims what it already
@@ -198,6 +214,9 @@ class LeaseManager:
             # and contend for a fresh claim like anyone else)
             if self.renew(key):
                 return True
+        if self.live(key):
+            increment("lease_conflicts")
+            return False
         claim = self._claim_path(key)
         lease = Lease(
             key=key,
@@ -211,8 +230,7 @@ class LeaseManager:
         try:
             os.link(tmp, claim)
         except FileExistsError:
-            current = self.peek(key)
-            if current is not None and not current.expired:
+            if self.live(key):
                 increment("lease_conflicts")
                 return False
             # stale or unreadable: exactly one contender wins the rename

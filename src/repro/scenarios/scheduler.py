@@ -21,15 +21,23 @@ phases, one method each on the private scheduler object:
   ``group_matrices=False`` / ``stack_batches=False`` disable the first
   two tiers; the paths are bit-identical (asserted by tests and the
   ``multi_rhs_identical`` / ``stacked_identical`` bench checks);
-* **claim** — with a :class:`~repro.scenarios.lease.LeaseManager`
-  (``claims=...``) the scheduler is one member of a cooperating *fleet*
-  (:mod:`repro.scenarios.fleet`): units are claimed whole, nodes a peer
-  holds are deferred and read back from the point space, failures a
-  peer quarantines during the run are adopted (counter
-  ``plan_failures_adopted``), and a dead peer's expired claims are
-  stolen;
 * **dispatch** — the units' tasks stream over the executor's
   capture-mode :meth:`~repro.perf.SweepExecutor.submit_stream_safe`;
+* **claim** — with a :class:`~repro.scenarios.lease.LeaseManager`
+  (``claims=...``) the scheduler is one member of a cooperating *fleet*
+  (:mod:`repro.scenarios.fleet`), and each unit's members are claimed as
+  the stream pulls that unit's task, just before it is solved — not
+  upfront for the whole wave — so whichever worker is free takes the
+  next unclaimed unit and work stealing falls out of the loop itself.
+  (The serial stream pulls one task at a time; the process-pool stream
+  lists its tasks first, so it still claims the wave upfront.)  Reads
+  come before the claim: a peer's committed point finishes the node, a
+  failure a peer quarantined during the run is adopted (counter
+  ``plan_failures_adopted``), and a live peer claim costs the lease
+  layer one read before the node is deferred.
+  Deferred nodes are polled by peeking their claims, and only a freed
+  or expired claim leads to a store read — a dead peer's expired claims
+  are stolen;
 * **land** — each solved node is cached and buffered for commit;
 * **commit** — the buffer is flushed as one group commit
   (:meth:`~repro.scenarios.store.RunStore.batch`) into the point space
@@ -81,11 +89,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import os
 import time
 from collections import defaultdict, deque
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -375,8 +382,9 @@ def _point_buckets(entries: list[_Entry]) -> list[list[_Entry]]:
 @dataclass
 class _Scheduler:
     """One execution of one plan: :meth:`run` drives the waves through
-    the phases (:meth:`_resolve`, :meth:`_group`, :meth:`_claim`,
-    :meth:`_dispatch`, :meth:`_land`, :meth:`_commit`, :meth:`_fail`);
+    the phases (:meth:`_resolve`, :meth:`_group`, :meth:`_dispatch` —
+    which claims through :meth:`_claim_entry` as its stream pulls each
+    task — :meth:`_land`, :meth:`_commit`, :meth:`_fail`);
     :meth:`_complete` is every node's single exit from the graph."""
 
     plan: ExecutionPlan
@@ -454,10 +462,7 @@ class _Scheduler:
                     continue
                 raise ExperimentError("execution plan has a dependency cycle")
             batch, self.ready = self.ready, []
-            units = self._group(self._resolve(batch))
-            if self.claims is not None:
-                units = self._claim(units)
-            self._dispatch(units)
+            self._dispatch(self._group(self._resolve(batch)))
         return self.outcome
 
     def _enqueue(self, node: Any) -> None:
@@ -639,6 +644,10 @@ class _Scheduler:
                     self.store.put_point(node.key, cached.to_payload())
                 self._finish(node, cached, "cache")
                 continue
+            # under claims _claim_entry reads the store again at pull
+            # time; this read still runs first so that a stored node
+            # never meets the blame ledger's poison filter or shapes a
+            # dispatch unit
             if (
                 self.resume
                 and self._stores(node.key)
@@ -735,55 +744,31 @@ class _Scheduler:
     def _claim_entry(self, entry: _Entry) -> bool:
         """Secure ``entry`` for local dispatch; False removes it.
 
-        False means the node left this worker's hands: a peer holds its
-        lease (deferred — its result will be read back), a peer already
-        quarantined it (adopted), or a peer's result landed between our
-        store check and our claim (finished from store).  Nodes without
-        a content key cannot be shared through the store at all, so
-        every worker simply computes them locally.
+        Reads come before the claim: a peer's committed point finishes
+        the node from the store, a failure a peer quarantined is
+        adopted, and a live peer claim makes
+        :meth:`~repro.scenarios.lease.LeaseManager.acquire` lose after a
+        single read — the node is deferred and its result read back
+        later.  A won claim re-checks the store, because a peer may have
+        committed and released the node between our read and our link.
+        Nodes without a content key cannot be shared through the store
+        at all, so every worker simply computes them locally.
         """
         node = entry.node
         if not is_content_key(node.key):
             return True
+        if self._finish_from_store(node, entry.cache_key):
+            return False
         if self._adopt_peer_failure(node):
             return False
         if not self.claims.acquire(node.key):
             self.deferred[node.key] = entry
             return False
-        # the claim is ours, but a peer may have completed-and-released
-        # this node since our resume check: the store is the arbiter
+        # won; a peer may have committed and released it since our read
         if self._finish_from_store(node, entry.cache_key):
             self.claims.release(node.key)
             return False
         return True
-
-    def _claim(self, units: list[_Unit]) -> list[_Unit]:
-        """Claim whole dispatch units, rotated so workers spread out.
-
-        Units are claimed member-by-member but *visited* whole — a
-        worker that wins any member of a matrix group tends to win the
-        rest in the same pass, so the batch tiers survive distribution —
-        and the visiting order is rotated by a hash of this worker's
-        owner id, so N workers hitting the same ready wave start
-        claiming at different units instead of racing door-to-door in
-        lockstep.  (Batched solves are batch-size invariant, so a unit
-        split by a lost race is still byte-identical — just less
-        batched.)  An idle worker whose own share is exhausted keeps
-        visiting and takes whatever is still unclaimed: work stealing
-        falls out of the same loop.
-        """
-        if not units:
-            return units
-        seed = hashlib.blake2b(
-            self.claims.owner.encode(), digest_size=4
-        ).digest()
-        offset = int.from_bytes(seed, "big") % len(units)
-        kept: list[_Unit] = []
-        for unit in units[offset:] + units[:offset]:
-            members = [e for e in unit.members if self._claim_entry(e)]
-            if members:
-                kept.append(_Unit(unit.shape, members))
-        return kept
 
     def _poll_deferred(self) -> bool:
         """Resolve deferred nodes; True when any left deferral.
@@ -792,10 +777,14 @@ class _Scheduler:
         result (read back from the store), its holder quarantined it
         (adopted from the ledger), or its holder died — the lease
         expired, the steal succeeds, and the node returns to our own
-        ready set.
+        ready set.  Holders commit and record failures before they
+        release, so while the claim is live there is nothing to read:
+        a deferred node costs one claim peek per poll until then.
         """
         progressed = False
         for key, (node, _, cache_key) in list(self.deferred.items()):
+            if self.claims.live(key):
+                continue
             if not (
                 self._finish_from_store(node, cache_key)
                 or self._adopt_peer_failure(node)
@@ -873,17 +862,28 @@ class _Scheduler:
         )
         return unit.members[task.offset : task.offset + size]
 
+    def _tasks(self, units: list[_Unit]) -> Iterator[SweepTask]:
+        """Each unit's task in dispatch order, registered in
+        :attr:`units` so ``task.index`` resolves.  Under claims a unit's
+        members are claimed only when the stream pulls its task; the
+        members claimed elsewhere drop out, and so does an emptied unit.
+        """
+        self.units = {shape: [] for shape in _SHAPES}
+        for shape in _SHAPES:
+            for unit in units:
+                if unit.shape != shape:
+                    continue
+                if self.claims is not None:
+                    members = [e for e in unit.members if self._claim_entry(e)]
+                    if not members:
+                        continue
+                    unit = _Unit(shape, members)
+                self.units[shape].append(unit)
+                yield self._task(unit, len(self.units[shape]) - 1)
+
     def _dispatch(self, units: list[_Unit]) -> None:
-        self.units = {
-            shape: [u for u in units if u.shape == shape] for shape in _SHAPES
-        }
-        tasks = [
-            self._task(unit, index)
-            for shape in _SHAPES
-            for index, unit in enumerate(self.units[shape])
-        ]
         stream = self.executor.submit_stream_safe(
-            tasks, timeout_s=self.retry.node_timeout_s
+            self._tasks(units), timeout_s=self.retry.node_timeout_s
         )
         for task, solved in stream:
             # drain between completions: everything landed so far is

@@ -164,6 +164,40 @@ class TestFleetCLI:
         assert "store complete" in out
         assert RunStore(tmp_path / "store").get(spec.content_hash())
 
+    def test_cli_fleet_reports_balance_and_conflicts_per_solve(
+        self, tmp_path, capsys
+    ):
+        import re
+
+        spec = fleet_spec()
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        code = main(
+            ["fleet", str(spec_file), "--workers", "2",
+             "--store", str(tmp_path / "store")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        rows = re.findall(
+            r"^\[worker (\d+)\] exit 0: (\d+) node\(s\) solved, "
+            r"share=(\d\.\d\d), conflicts/solve=(\d+\.\d\d|n/a)",
+            out,
+            re.MULTILINE,
+        )
+        assert [int(rank) for rank, *_ in rows] == [0, 1]
+        (summary,) = re.findall(
+            r"fleet of 2: (\d+) node\(s\) solved exactly once, "
+            r"max share=(\d\.\d\d);",
+            out,
+        )
+        total = int(summary[0])
+        assert sum(int(solves) for _, solves, _, _ in rows) == total
+        shares = [float(share) for _, _, share, _ in rows]
+        assert sum(shares) == pytest.approx(1.0, abs=0.011)
+        assert float(summary[1]) == max(shares)
+        for _, solves, _, per_solve in rows:
+            assert (per_solve == "n/a") == (solves == "0")
+
     def test_cli_migrate_smoke(self, tmp_path, capsys):
         store = RunStore(tmp_path / "store")
         (store.points / ("ab" * 32 + ".json")).write_text('{"x": 1}')

@@ -201,6 +201,36 @@ class TestScenarios:
         assert "3.40x" in out
         assert "FAIL" in out
 
+    def test_cpu_mismatch_names_both_machines(self):
+        one, two = _payload({"a": 0.1}), _payload({"a": 0.1})
+        two["machine"]["cpu_count"] = 2
+        assert bench.cpu_mismatch(one, _payload({"a": 0.1})) is None
+        assert bench.cpu_mismatch(two, one) == (
+            "baseline from a 1-CPU machine, this one has 2; "
+            "regenerate the baseline here"
+        )
+        del one["machine"]["cpu_count"]
+        assert "unknown-CPU" in bench.cpu_mismatch(two, one)
+
+    def test_cli_refuses_a_baseline_from_another_cpu_count(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        previous = _payload({"a": 0.1})
+        (tmp_path / "BENCH_2000-01-01.json").write_text(json.dumps(previous))
+        current = _payload({"a": 10.0})
+        current["machine"]["cpu_count"] = 2
+        monkeypatch.setattr(bench, "run_benchmarks", lambda **kwargs: current)
+        code = bench.main(["--output-dir", str(tmp_path), "--no-write"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert (
+            "baseline from a 1-CPU machine, this one has 2; "
+            "regenerate the baseline here"
+        ) in out
+        # no per-entry verdicts against a foreign machine's timings
+        assert "REGRESSION" not in out
+        assert "regressed beyond" not in out
+
     def test_speedup_table_includes_comparisons(self):
         payload = _payload({"a": 0.1})
         payload["speedups"] = {"s": 2.0}

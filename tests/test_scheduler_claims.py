@@ -373,3 +373,133 @@ class TestPlanGraphErrors:
         me = LeaseManager(store, owner="me", ttl_s=30.0)
         with pytest.raises(ExperimentError, match="dependency cycle"):
             run_claimed(plan, store, me)
+
+
+class RecordingExecutor(SerialExecutor):
+    """A serial stream that records each task it pulls and, at each
+    solve, which claims ``mine`` holds."""
+
+    def __init__(self, mine=None):
+        self.mine = mine
+        self.pulled = []
+        self.held_at_solve = []
+
+    def submit_stream_safe(self, tasks, *, timeout_s=None):
+        return super().submit_stream_safe(
+            self._pulled(tasks), timeout_s=timeout_s
+        )
+
+    def _pulled(self, tasks):
+        for task in tasks:
+            self.pulled.append(task)
+            if self.mine is not None:
+                self.held_at_solve.append(set(self.mine.held))
+            yield task
+
+
+class TestClaimAtDispatch:
+    def test_each_unit_is_claimed_only_when_its_task_is_pulled(
+        self, reference, store, monkeypatch
+    ):
+        plan, expected = reference
+        me = LeaseManager(store, owner="me", ttl_s=30.0)
+        unit_keys = []
+        build_task = scheduler._Scheduler._task
+
+        def recording_task(self, unit, index):
+            unit_keys.append({e.node.key for e in unit.members})
+            return build_task(self, unit, index)
+
+        monkeypatch.setattr(scheduler._Scheduler, "_task", recording_task)
+        executor = RecordingExecutor(me)
+        outcome = run_claimed(plan, store, me, executor=executor)
+        assert payloads(outcome.results) == expected
+        assert len(unit_keys) == len(executor.held_at_solve) >= 2
+        for k, held in enumerate(executor.held_at_solve):
+            later = set().union(*unit_keys[k + 1 :])
+            # while task k solves, no later task's member is claimed
+            assert not held & later
+            assert unit_keys[k] <= held
+
+    def test_a_committed_peer_point_is_read_not_claimed(
+        self, reference, store, monkeypatch
+    ):
+        plan, expected = reference
+        victim = sorted(plan.nodes)[0]
+        peer = LeaseManager(store, owner="peer", ttl_s=30.0)
+        me = LeaseManager(store, owner="me", ttl_s=30.0)
+        # the peer solved, committed and released the node before we
+        # reached it (resume=False: only the claim step reads the store)
+        assert peer.acquire(victim)
+        perf.reset()
+        solved = execute_plan(plan)
+        store.put_point(victim, solved.results[victim].to_payload())
+        peer.release(victim)
+        claimed = []
+        acquire = LeaseManager.acquire
+        monkeypatch.setattr(
+            LeaseManager,
+            "acquire",
+            lambda self, key: claimed.append(key) or acquire(self, key),
+        )
+        perf.reset()
+        outcome = execute_plan(
+            plan, store=store, resume=False, claims=me, poll_s=0.02
+        )
+        assert payloads(outcome.results) == expected
+        assert outcome.counts["store"] == 1
+        assert victim not in claimed
+        assert sorted(claimed) == sorted(set(plan.nodes) - {victim})
+
+    def test_claim_free_dispatch_keeps_task_order_and_numbering(self):
+        from repro.scenarios import SCENARIOS
+
+        spec = SCENARIOS.get("fem3d_power").resolved(
+            fast=True, fem_resolution="coarse", calibrate=False
+        )
+        plan = compile_plan([spec])
+        perf.reset()
+        executor = RecordingExecutor()
+        execute_plan(plan, executor=executor)
+        # shapes in tier order, each numbering its own tasks from 0
+        assert [(type(t).__name__, t.index) for t in executor.pulled] == [
+            ("MatrixGroupTask", 0),
+            ("StackedBatchTask", 0),
+            ("PointTask", 0),
+            ("PointTask", 1),
+        ]
+
+    def test_poll_over_a_live_peer_claim_reads_only_the_claim(
+        self, reference, store, monkeypatch
+    ):
+        plan, _ = reference
+        victim = sorted(plan.nodes)[0]
+        peer = LeaseManager(store, owner="peer", ttl_s=30.0)
+        me = LeaseManager(store, owner="me", ttl_s=30.0)
+        assert peer.acquire(victim)
+        sched = scheduler._Scheduler(
+            plan=plan, executor=SerialExecutor(), store=store, resume=True,
+            progress=None, on_node=None, group_matrices=True,
+            stack_batches=True, retry=perf.DEFAULT_RETRY, claims=me,
+            poll_s=0.02, drain=None,
+        )
+        node = plan.nodes[victim]
+        sched.deferred[victim] = scheduler._Entry(node, node.model, None)
+        reads = []
+        for name in ("get_point", "get_failure"):
+            original = getattr(RunStore, name)
+            monkeypatch.setattr(
+                RunStore,
+                name,
+                lambda self, key, _f=original, _n=name: (
+                    reads.append(_n) or _f(self, key)
+                ),
+            )
+        for _ in range(3):
+            assert not sched._poll_deferred()
+        assert reads == []
+        assert counter("lease_conflicts") == 0  # no acquire attempted
+        peer.release(victim)
+        assert sched._poll_deferred()  # freed: read the store, then claim
+        assert reads[:2] == ["get_point", "get_failure"]
+        assert victim in me.held and victim not in sched.deferred
